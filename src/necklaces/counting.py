@@ -101,7 +101,7 @@ def _count_full(digits, q, path):
     return count_accepted(build_intersection(ax, a0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _count_dividing_cached(digits, q, p, path):
     n = len(digits)
     if all(d == 0 for d in digits):
@@ -196,4 +196,3 @@ def count_words_below_with_ceiling(x, ceiling):
 
 def clear_caches():
     _count_dividing_cached.cache_clear()
-    engine.count_below_cached.cache_clear()

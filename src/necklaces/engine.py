@@ -23,10 +23,18 @@ closes, the full profile of resolved outcomes is a function of (anchor,
 layer, rank of the closing symbol) and x's self-comparison table, and is
 immediately collapsed to the only thing the future can ask: the set of
 final border-chain lengths that would certify acceptance, stored as a
-bitmask.  States with equal masks merge, which keeps the frontier small.
-"""
+bitmask.
 
-from functools import lru_cache
+A resolved state never changes its mask again: it moves by the border chain
+alone, and its accepted completions depend only on (symbols left, match
+length, mask).  So count_below runs the forward pass over the states with
+open comparisons only, records each resolution as an event, and charges
+every event once from a backward table over (symbols left, match length)
+that holds all masks side by side in one big integer, so that the work per
+table entry is big-integer arithmetic, not one dict entry per state
+(_charge_resolved).  count_below_with_ceiling pairs two automata and still
+carries its resolved states forward, merging states with equal masks.
+"""
 
 from .words import NkString, complement
 
@@ -95,6 +103,7 @@ class _Tables:
         self.lcp = lcp
 
         self._lives_cache = {}
+        self._diverged_below = {}
 
     def lives(self, j, anchor):
         """Open wraparound shifts after j symbols equal to x[anchor:anchor+j]."""
@@ -109,23 +118,38 @@ class _Tables:
     def death_mask(self, anchor, layer, closing):
         """Acceptance mask after the last open comparison closes.
 
-        The open comparisons at (anchor, layer) each read `closing` next; a
-        shift m ends strictly below when its next threshold digit exceeds the
-        symbol read.  Already-resolved shifts are recovered from the suffix
-        LCP table.  The result is the OR of up_mask over all below-shifts.
+        The result is the OR of up_mask over the shifts m whose rotation ends
+        strictly below.  Two kinds of shift qualify.  A shift that diverged
+        from the anchor suffix before this layer (lcp < layer) is below when
+        its digit at the divergence exceeds the anchor's; that set depends on
+        (anchor, layer) only and is read from a per-anchor prefix OR.  A shift
+        still open at this layer reads `closing` next and is below when its
+        next threshold digit exceeds it.
         """
-        x, lcp, n = self.x, self.lcp, self.n
-        mask = 0
-        lcp_a = lcp[anchor]
-        for m in range(1, n):
-            horizon = n - m
-            d = lcp_a[m]
-            if d < layer and d < horizon:
-                if x[m + d] > x[anchor + d]:
-                    mask |= self.up_mask[m]
-            elif horizon > layer and x[m + layer] > closing:
-                mask |= self.up_mask[m]
+        below = self._diverged_below.get(anchor)
+        if below is None:
+            below = self._diverged_below[anchor] = self._diverged_prefix(anchor)
+        mask = below[layer]
+        x, up_mask = self.x, self.up_mask
+        for m in self.lives(layer, anchor):
+            if x[m + layer] > closing:
+                mask |= up_mask[m]
         return mask
+
+    def _diverged_prefix(self, anchor):
+        # at[L]: OR of up_mask[m] over the shifts m that diverge from
+        # x[anchor:] at some d < L inside both suffixes, with x[m+d] above
+        # x[anchor+d].  Open comparisons at anchor all end before n - anchor.
+        x, n = self.x, self.n
+        lcp_a = self.lcp[anchor]
+        at = [0] * (n + 1)
+        for m in range(1, n):
+            d = lcp_a[m]
+            if d < n - m and d < n - anchor and x[m + d] > x[anchor + d]:
+                at[d + 1] |= self.up_mask[m]
+        for d in range(1, n + 1):
+            at[d] |= at[d - 1]
+        return at
 
 
 # Wraparound keys: ("L", anchor) while comparisons are open, afterwards the
@@ -187,30 +211,19 @@ def count_below(digits, q):
     for i in range(1, n + 1):
         pow_q[i] = pow_q[i - 1] * q
 
-    # Once the wraparound side is resolved its mask is inert, so those states
-    # move by the match length alone; their piece transitions are layer-free
-    # and shared.  States with open comparisons are handled individually.
-    fired_of = {}
-
-    def moves(ell):
-        got = fired_of.get(ell)
-        if got is None:
-            got = []
-            for c, size in _pieces(q, set(tab.eqmap[ell])):
-                if c < tab.fire_above[ell]:
-                    got.append((size, None))
-                else:
-                    got.append((size, tab.eqmap[ell].get(c, 0)))
-            fired_of[ell] = got
-        return got
-
-    live = {(0, ("L", 1)): 1} if n >= 2 else {}
-    dead = {} if n >= 2 else {(0, 0): 1}
+    # Forward pass over the states with open comparisons only.  A state that
+    # resolves is recorded as an event (symbols left, match length, mask) and
+    # charged afterwards by _charge_resolved.
+    events = {}
     fired_total = 0
+    if n == 1:
+        events[(1, 0, 0)] = 1  # no wraparound shift exists: resolved at once
+        live = {}
+    else:
+        live = {(0, ("L", 1)): 1}
     for j in range(n):
         tail = pow_q[n - j - 1]
         nxt_live = {}
-        nxt_dead = {}
         for (ell, wkey), cnt in live.items():
             for c, size in _pieces(q, _step_breakpoints(tab, ell, wkey, j)):
                 res = _step(tab, ell, wkey, j, c)
@@ -219,21 +232,64 @@ def count_below(digits, q):
                 elif type(res[1]) is tuple:
                     nxt_live[res] = nxt_live.get(res, 0) + cnt * size
                 else:
-                    nxt_dead[res] = nxt_dead.get(res, 0) + cnt * size
-        for (ell, mask), cnt in dead.items():
-            for size, ell2 in moves(ell):
-                if ell2 is None:
-                    fired_total += cnt * size * tail
-                else:
-                    key = (ell2, mask)
-                    nxt_dead[key] = nxt_dead.get(key, 0) + cnt * size
+                    key = (n - j - 1, res[0], res[1])
+                    events[key] = events.get(key, 0) + cnt * size
         live = nxt_live
-        dead = nxt_dead
+    return fired_total + _charge_resolved(tab, events, pow_q)
 
-    total = fired_total
-    for (ell, mask), cnt in dead.items():
-        if (mask >> ell) & 1:
-            total += cnt
+
+def _charge_resolved(tab, events, pow_q):
+    """Total accepted completions of the resolved states in `events`.
+
+    A resolved state (ell, mask) moves by the border chain alone.  Of the
+    symbols read at match length ell, those below fire_above[ell] fire a
+    contiguous witness; fire_above[ell] itself extends the longest border
+    with that digit; every larger symbol drops to match length 0.  With r
+    symbols left, its accepted completions are F_r[ell], those that fire
+    later, plus those that never fire and end on a match length whose bit is
+    set in the mask.  With f = fire_above[ell], e = the extended match
+    length and g = q - 1 - f the number of symbols that drop,
+
+        F_0[ell] = 0,  F_r[ell] = f * q^(r-1) + F_(r-1)[e] + g * F_(r-1)[0].
+
+    F_r does not depend on the mask.  The second part is computed for every
+    mask at once: each mask gets a slot of W bits in one big integer, and
+    V_r[ell] holds all slots,
+
+        V_0[ell]  has the low bit of slot i set iff bit ell of mask i is set;
+        V_r[ell]  = V_(r-1)[e] + g * V_(r-1)[0].
+
+    A slot never exceeds q^r < 2^W, so slots never carry into each other.
+    Two rows are kept at a time.
+    """
+    if not events:
+        return 0
+    n, q = tab.n, tab.q
+    masks = sorted({mask for _, _, mask in events})
+    slot = {mask: i for i, mask in enumerate(masks)}
+    wbytes = (pow_q[n].bit_length() + 8) // 8
+    width, top = 8 * wbytes, (1 << 8 * wbytes) - 1
+    by_row = {}
+    for (r, ell, mask), cnt in events.items():
+        by_row.setdefault(r, []).append((ell, slot[mask], cnt))
+
+    row = []
+    for ell in range(n + 1):
+        packed = bytearray(wbytes * len(masks))
+        for i, mask in enumerate(masks):
+            if (mask >> ell) & 1:
+                packed[i * wbytes] = 1
+        row.append(int.from_bytes(packed, "little"))
+    fired = [0] * (n + 1)
+    moves = [(f, tab.eqmap[ell][f], q - 1 - f) for ell, f in enumerate(tab.fire_above[:n])]
+
+    total = 0
+    for r in range(1, max(by_row) + 1):
+        tail, zero, fired_zero = pow_q[r - 1], row[0], fired[0]
+        row = [row[e] + g * zero for _, e, g in moves[:n - r + 1]]
+        fired = [f * tail + fired[e] + g * fired_zero for f, e, g in moves[:n - r + 1]]
+        for ell, i, cnt in by_row.get(r, ()):
+            total += cnt * (fired[ell] + ((row[ell] >> (width * i)) & top))
     return total
 
 
@@ -280,8 +336,3 @@ def count_below_with_ceiling(digits, ceiling, q):
         if slo == "FIRED" or _final_accepts(*slo):
             total += cnt
     return total
-
-
-@lru_cache(maxsize=None)
-def count_below_cached(digits, q):
-    return count_below(digits, q)

@@ -100,6 +100,45 @@ def test_probe_budget():
         assert counter.count <= n * math.ceil(math.log2(q)) + 2
 
 
+def _next_necklace(digits, q):
+    """Next necklace after `digits` in lexicographic order (FKM algorithm).
+
+    Steps through prenecklaces: bump the last digit below q-1 at position i,
+    extend periodically with period i+1, and stop at the first prenecklace
+    whose period divides n.  Needs no counting, so it is a reference that is
+    independent of the engine.
+    """
+    a = list(digits)
+    n = len(a)
+    while True:
+        i = n - 1
+        while a[i] == q - 1:
+            i -= 1
+        a[i] += 1
+        for j in range(i + 1, n):
+            a[j] = a[j - i - 1]
+        if n % (i + 1) == 0:
+            return tuple(a)
+
+
+@pytest.mark.parametrize("n", [24, 40, 64], ids=["n24", "n40", "n64"])
+@pytest.mark.parametrize("q", [2, 3, 2**20], ids=["q2", "q3", "q2^20"])
+def test_consecutive_necklaces_have_consecutive_ranks(n, q):
+    # Canonical thresholds are the engine's worst case; check them at sizes
+    # past brute-force enumeration.  Words over {0, q-1} make the successor
+    # carry and extend periodically also when q is large.
+    rng = random.Random(n * 1000 + q)
+    for alphabet in ((0, q - 1),) * 2 + (range(q),) * 2:
+        digits = tuple(rng.choice(alphabet) for _ in range(n))
+        word = min_rotation(NkString(n, q, digits))[0]
+        if all(d == q - 1 for d in word.digits):
+            continue
+        succ = NkString(n, q, _next_necklace(word.digits, q))
+        assert min_rotation(succ)[0] == succ
+        rank = indexing.reverse_index_necklace(word).rank
+        assert indexing.reverse_index_necklace(succ).rank == rank + 1
+
+
 def test_rank_result_is_frozen():
     res = indexing.reverse_index_necklace(w("01"))
     with pytest.raises(Exception):
