@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import counting
-from .errors import NotADivisor, NotInBaseField, TooBig, ZeroColumn
+from .errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
 from .gf import fq_kernel_basis, frobenius, pstrip
 from .words import NkString, fundamental_period, max_rotation, min_rotation
 
@@ -73,7 +73,7 @@ def generator_row_count(params):
 
 
 @lru_cache(maxsize=4096)
-def _cumulative_rows(ctx_id, n, q, x_digits, d_digits):
+def _cumulative_rows(n, q, x_digits, d_digits):
     x = NkString(n, q, x_digits)
     ceiling = NkString(n, q, d_digits)
     return counting.count_words_below_with_ceiling(x, ceiling)
@@ -90,9 +90,7 @@ def generator_row(params, r):
     ceiling = _word(params, params.d)
 
     def cum(value):
-        return _cumulative_rows(
-            id(ctx), n, q, NkString.from_int(n, q, value).digits, ceiling.digits
-        )
+        return _cumulative_rows(n, q, NkString.from_int(n, q, value).digits, ceiling.digits)
 
     lo, hi = 0, q**n - 1
     while lo < hi:
@@ -102,8 +100,10 @@ def generator_row(params, r):
         else:
             hi = mid - 1
     rep = _word(params, lo)
-    assert min_rotation(rep)[0].digits == rep.digits
-    assert max_rotation(rep)[0].digits <= ceiling.digits
+    if min_rotation(rep)[0].digits != rep.digits:
+        raise InvariantViolated("generator row search ended off a minimal rotation")
+    if max_rotation(rep)[0].digits > ceiling.digits:
+        raise InvariantViolated("generator row orbit leaves {0, ..., d}")
     return _orbit_from_word(rep), r - cum(lo)
 
 
@@ -111,11 +111,14 @@ def subfield_basis(ctx, ell):
     """Deterministic F_q-basis of the subfield fixed by the ell-th Frobenius power.
 
     Returns exactly ell elements of F_{q^n}, the echelon kernel basis of the
-    linear map a -> a^(q^ell) - a on coefficient vectors.
+    linear map a -> a^(q^ell) - a on coefficient vectors.  Bases are cached
+    on ctx per ell; every call returns a fresh list.
     """
     n = ctx.n
     if ell < 1 or n % ell != 0:
         raise NotADivisor(f"{ell} does not divide the extension degree {n}")
+    if ell in ctx.subfield_bases:
+        return list(ctx.subfield_bases[ell])
     base = ctx.base
     columns = []
     for i in range(n):
@@ -130,28 +133,30 @@ def subfield_basis(ctx, ell):
     kernel = fq_kernel_basis(base, rows, n)
     if len(kernel) != ell:
         raise AssertionError("fixed-subfield dimension mismatch; field bug")
-    return [pstrip(base, vec) for vec in kernel]
+    basis = ctx.subfield_bases[ell] = tuple(pstrip(base, vec) for vec in kernel)
+    return list(basis)
 
 
 def generator_entry(params, r, alpha):
-    """Evaluation of the r-th basis polynomial at column alpha; lies in F_q."""
+    """Evaluation of the r-th basis polynomial at column alpha; lies in F_q.
+
+    With orbit minimum m and basis element beta of the row, the entry is
+    sum_k beta^(q^k) alpha^(m q^k) = sum_k Frob^k(gamma), gamma = beta alpha^m,
+    over k < |orbit|; alpha^0 = 1 even for alpha = 0.
+    """
     ctx = params.ctx
     orbit, j = generator_row(params, r)
-    ell = orbit.size
-    beta = subfield_basis(ctx, ell)[j - 1]
-    modulus = ctx.q**ctx.n - 1
-    total = ctx.zero
-    beta_pow = beta
-    for k in range(ell):
-        exponent = orbit.m * pow(ctx.q, k, modulus) % modulus
-        if exponent == 0:
-            term = beta_pow
-        elif ctx.is_zero(alpha):
-            term = ctx.zero
-        else:
-            term = ctx.mul(beta_pow, ctx.pow(alpha, exponent))
+    beta = subfield_basis(ctx, orbit.size)[j - 1]
+    if orbit.m == 0:
+        gamma = beta
+    elif ctx.is_zero(alpha):
+        gamma = ctx.zero
+    else:
+        gamma = ctx.mul(beta, ctx.pow(alpha, orbit.m))
+    total = term = gamma
+    for _ in range(orbit.size - 1):
+        term = frobenius(ctx, term)
         total = ctx.add(total, term)
-        beta_pow = frobenius(ctx, beta_pow)
     if len(total) > 1:
         raise NotInBaseField("generator entry escaped the base field; basis bug")
     return total[0] if total else ctx.base.zero
@@ -183,7 +188,8 @@ def parity_row(params, r):
         else:
             hi = mid - 1
     rep = _word(params, lo)
-    assert min_rotation(rep)[0].digits == rep.digits
+    if min_rotation(rep)[0].digits != rep.digits:
+        raise InvariantViolated("parity row search ended off a minimal rotation")
     return _orbit_from_word(rep)
 
 

@@ -65,7 +65,7 @@ def mobius(m):
     return mu
 
 
-def _resolve_path(path, q):
+def _resolve_path(path):
     if path not in PATHS:
         raise ValueError(f"unknown path {path!r}; expected one of {PATHS}")
     return path
@@ -132,14 +132,14 @@ def count_words_below_period_dividing(x, p, path="auto"):
     """#{y : orbit size of y divides p, some rotation of y below x}."""
     if x.n % p != 0 or p < 1:
         raise NotADivisor(f"period {p} does not divide length {x.n}")
-    return _count_dividing_cached(x.digits, x.q, p, _resolve_path(path, x.q))
+    return _count_dividing_cached(x.digits, x.q, p, _resolve_path(path))
 
 
 def count_words_below_period_exact(x, p, path="auto"):
     """#{y : orbit size exactly p, some rotation of y below x}."""
     if x.n % p != 0 or p < 1:
         raise NotADivisor(f"period {p} does not divide length {x.n}")
-    path = _resolve_path(path, x.q)
+    path = _resolve_path(path)
     total = 0
     for i in divisors(p):
         total += mobius(p // i) * _count_dividing_cached(x.digits, x.q, i, path)
@@ -148,7 +148,7 @@ def count_words_below_period_exact(x, p, path="auto"):
 
 def count_necklaces_below(x, path="auto"):
     """Number of orbits containing at least one word strictly below x."""
-    path = _resolve_path(path, x.q)
+    path = _resolve_path(path)
     total = 0
     for i in divisors(x.n):
         exact = count_words_below_period_exact(x, i, path)

@@ -57,5 +57,9 @@ class ZeroColumn(NecklaceError):
     """Parity-check columns are indexed by nonzero field elements only."""
 
 
+class InvariantViolated(NecklaceError):
+    """A result failed an internal consistency check: a bug, not bad input."""
+
+
 class InvalidAdvice(NecklaceError):
     """Advice file is malformed or fails verification."""

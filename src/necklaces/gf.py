@@ -1,13 +1,24 @@
 """Finite field towers F_p <= F_q <= F_{q^n} with explicit coefficient vectors.
 
-Elements of F_q = F_p[u]/g(u) are tuples of ints (low degree first, trailing
-zeros stripped, () is zero); elements of F_{q^n} = F_q[T]/F(T) are tuples of
-F_q elements in the same convention.  Polynomial arithmetic is generic over
-a coefficient field object, so the same routines serve both levels of the
-tower.  p and q are arbitrary-precision; only the extension degrees need to
-stay reasonable.
+At the API, elements of F_q = F_p[u]/g(u) are tuples of ints (low degree
+first, trailing zeros stripped, () is zero) and elements of
+F_{q^n} = F_q[T]/F(T) are tuples of F_q elements in the same convention.
+p and q are arbitrary-precision; only the extension degrees need to stay
+reasonable.
 
-The advice file format (normative for interoperability):
+Inside, F_{q^n} arithmetic runs on a packed kernel (_Packed): an element's
+n*e coordinates over F_p are slots of one Python int, so a product is one
+big-integer multiply (Kronecker substitution) followed by a fold of the
+overflow slots and a slot-wise reduction mod p.  Slots are
+W = 8 * ceil(bits(V * ceil(2^s / p)) / 8) bits wide, with the slot bound
+V = (2n-1)(2e-1) p^2 and 2^s > V p, so neither the product nor the
+reduction carries between slots.  FqnCtx.mul/pow convert once per call;
+frobenius, minimal_polynomial and is_irreducible stay packed throughout.
+The generic polynomial routines (pmul, pdivmod, ...) over a coefficient
+field object serve F_q itself, inverses and gcds.
+
+The advice file format (normative for interoperability; unchanged by the
+packed representation):
 
     line 1: "p e"
     line 2: coefficients of g over F_p, space-separated, low first
@@ -18,6 +29,7 @@ The advice file format (normative for interoperability):
     line 5: optional "factors r1 r2 ..." (primes of q^n - 1, multiplicity)
 """
 
+import math
 import random
 
 from .errors import (
@@ -30,31 +42,88 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # integer primality and factoring (desk scale)
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_probable_prime(m):
+    """Baillie-PSW: trial division, a strong base-2 test and a strong Lucas test.
+
+    Exact for every m below 2^64 (all base-2 strong pseudoprimes there are
+    enumerated, and none passes the Lucas test); above that, no composite
+    that passes is known.  The fixed-base Miller-Rabin test it replaces was
+    exact only below 3.18e23 (base set 2..37).
+    """
     if m < 2:
         return False
-    for p in _MR_BASES:
+    for p in _SMALL_PRIMES:
         if m % p == 0:
             return m == p
-    d = m - 1
-    s = 0
+    return _strong_base_2(m) and _strong_lucas(m)
+
+
+def _strong_base_2(m):
+    """Strong probable-prime (Miller-Rabin) test to base 2; m odd."""
+    d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
+    x = pow(2, d, m)
+    if x in (1, m - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
+
+
+def _jacobi(a, m):
+    """Jacobi symbol (a/m) for odd m > 0."""
+    a %= m
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                sign = -sign
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            sign = -sign
+        a %= m
+    return sign if m == 1 else 0
+
+
+def _strong_lucas(m):
+    """Strong Lucas test with Selfridge's parameters; m odd, > 37, no small factor."""
+    if math.isqrt(m) ** 2 == m:
+        return False  # no D with (D/m) = -1 exists
+    D = 5
+    while (j := _jacobi(D, m)) != -1:
+        if j == 0:
+            return False  # |D| < m shares a factor with m
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = m + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(v):
+        return (v + m if v % 2 else v) // 2
+
+    # U_k, V_k of the sequence with P = 1, and Q^k, by binary expansion of d
+    U, V, Qk = 1, 1, Q % m
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % m, (V * V - 2 * Qk) % m, Qk * Qk % m
+        if bit == "1":
+            U, V, Qk = half((U + V) % m), half((D * U + V) % m), Qk * Q % m
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % m, Qk * Qk % m
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(m):
@@ -220,24 +289,6 @@ def pgcd(field, a, b):
     return pmonic(field, a)
 
 
-def ppow_mod(field, base, exp, mod):
-    result = (field.one,)
-    base = pmod(field, base, mod)
-    while exp > 0:
-        if exp & 1:
-            result = pmod(field, pmul(field, result, base), mod)
-        base = pmod(field, pmul(field, base, base), mod)
-        exp >>= 1
-    return result
-
-
-def peval(field, a, point):
-    acc = field.zero
-    for c in reversed(a):
-        acc = field.add(field.mul(acc, point), c)
-    return acc
-
-
 def pinv_mod(field, a, mod):
     """Inverse of a modulo mod via the extended Euclidean algorithm."""
     r0, r1 = mod, pmod(field, a, mod)
@@ -256,27 +307,165 @@ def is_irreducible(field, f):
     """Irreducibility over the field of size field.size; f monic, degree >= 1.
 
     Standard criterion: T^(size^m) = T mod f, and for every prime r | m the
-    gcd of T^(size^(m/r)) - T with f is trivial.
+    gcd of T^(size^(m/r)) - T with f is trivial.  The powers are computed
+    in the packed kernel, which needs no irreducibility of f.
     """
     m = len(f) - 1
     if m < 1:
         raise ValueError("degree must be at least 1")
+    if f[-1] != field.one:
+        raise ValueError("polynomial must be monic")
     if m == 1:
         return True
-    size = field.size
-    X = (field.zero, field.one)
-    powers = {0: pmod(field, X, f)}
-    cur = powers[0]
-    for i in range(1, m + 1):
-        cur = ppow_mod(field, cur, size, f)
-        powers[i] = cur
-    if powers[m] != pmod(field, X, f):
+    if isinstance(field, _PrimeField):  # F_p as F_p[u]/(u): coefficients become 1-vectors
+        field, f = FqCtx(field.p, 1), tuple((c % field.p,) if c % field.p else () for c in f)
+    kernel = _Packed(field.p, field.g, f)
+    powers = [kernel.t]
+    for _ in range(m):
+        powers.append(kernel.frobenius(powers[-1]))
+    if powers[m] != kernel.t:
         return False
+    X = (field.zero, field.one)
     for r in sorted(set(factorize(m))):
-        w = psub(field, powers[m // r], X)
+        w = psub(field, kernel.unpack(powers[m // r]), X)
         if len(pgcd(field, w, f)) != 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel: F_p[u, T]/(g(u), F(T)) on packed F_p coordinates
+
+
+class _Packed:
+    """Ring arithmetic in F_p[u, T]/(g(u), F(T)), one Python int per element.
+
+    g (F_p coefficients, low first) is monic of degree e; F (coefficients
+    are F_p coordinate tuples of F_q = F_p[u]/g, low first) is monic of
+    degree n.  Neither has to be irreducible.  Coordinate (i, k) of T^i u^k
+    sits in slot i*(2e-1) + k, W bits wide.  A reduced element fills the
+    slots with i < n and k < e, every one below p.  The product of two
+    reduced elements is then one integer multiply (Kronecker substitution):
+    exponents add slot-wise without colliding, and a slot sums at most n*e
+    products below p^2.  Its overflow slots (i >= n or k >= e) are folded
+    back through their precomputed reduced images, and every slot is taken
+    mod p at once by a multiply-shift.
+
+    Every slot stays below V = (2n-1)(2e-1) p^2 before it is taken mod p.
+    floor(v/p) = floor(v*m / 2^s) for all v <= V when m = ceil(2^s/p) and
+    2^s > V*p, and the slot width W, rounded up to whole bytes so that
+    slots can be read from to_bytes, holds V*m: the multiply never carries
+    between slots either.
+    """
+
+    one = 1
+
+    def __init__(self, p, g, F):
+        e, n = len(g) - 1, len(F) - 1
+        stride = 2 * e - 1
+        bound = (2 * n - 1) * stride * p * p
+        s = (bound * p).bit_length()
+        m = -(-(1 << s) // p)
+        wb = ((bound * m).bit_length() + 7) // 8
+        W = 8 * wb
+        self.p, self.e, self.n, self.q = p, e, n, p**e
+        self._s, self._m, self._wb, self._bits = s, m, wb, W
+        self._rowbits, self._rowb = stride * W, stride * wb
+        self._ebytes = n * self._rowb
+        self._zbytes = (2 * n - 1) * self._rowb
+        in_range = [i * stride + k for i in range(n) for k in range(e)]
+        self._keep = sum(((1 << W) - 1) << (j * W) for j in in_range)
+        self._ps = sum(p << (j * W) for j in in_range)
+        low = (1 << (W - s)) - 1
+        self._qmask = sum(low << (j * W) for j in range(n * stride))
+
+        # u^k mod g for k < 2e - 1, as F_p coefficient lists
+        upow = [[0] * k + [1] + [0] * (e - 1 - k) for k in range(e)]
+        for _ in range(e, stride):
+            top, shifted = upow[-1][-1], [0] + upow[-1][:-1]
+            upow.append([(c - top * gc) % p for c, gc in zip(shifted, g)])
+        upow = [self.pack((tuple(c),)) for c in upow]
+        # (byte offset, reduced image) of every overflow slot; the images of
+        # row i >= n are products whose overflow lies in rows already listed
+        self._fold = [(i * self._rowb + k * wb, upow[k] << (i * self._rowbits))
+                      for i in range(n) for k in range(e, stride)]
+        tn = self.neg(self.pack(F[:n]))  # T^n = -(F_0 + ... + F_(n-1) T^(n-1))
+        self.t = tn if n == 1 else 1 << self._rowbits
+        ti = tn
+        for i in range(n, 2 * n - 1):
+            if i > n:
+                ti = self.mul(ti, self.t)
+            self._fold += [(i * self._rowb + k * wb, self.mul(ti, upow[k]))
+                           for k in range(stride)]
+        self._frob = None
+
+    def pack(self, a):
+        """Packed form of a tuple of F_q coordinate tuples (low first)."""
+        buf = bytearray(self._ebytes)
+        wb, rowb = self._wb, self._rowb
+        for i, c in enumerate(a):
+            for k, v in enumerate(c):
+                at = i * rowb + k * wb
+                buf[at:at + wb] = v.to_bytes(wb, "little")
+        return int.from_bytes(buf, "little")
+
+    def unpack(self, x):
+        """Inverse of pack, trailing zeros stripped at both levels."""
+        b = x.to_bytes(self._ebytes, "little")
+        wb, e = self._wb, self.e
+        out = []
+        for at in range(0, self._ebytes, self._rowb):
+            row = [int.from_bytes(b[o:o + wb], "little") for o in range(at, at + e * wb, wb)]
+            while row and not row[-1]:
+                row.pop()
+            out.append(tuple(row))
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    def _mod_p(self, x):
+        return x - self.p * (((x * self._m) >> self._s) & self._qmask)
+
+    def _combine(self, b, images, acc):
+        """acc + sum of (slot at offset o of bytes b, mod p) * image, mod p."""
+        p, wb = self.p, self._wb
+        for o, image in images:
+            c = int.from_bytes(b[o:o + wb], "little") % p
+            if c:
+                acc += c * image
+        return self._mod_p(acc)
+
+    def add(self, x, y):
+        return self._mod_p(x + y)
+
+    def neg(self, x):
+        return self._mod_p(self._ps - x)
+
+    def mul(self, x, y):
+        z = x * y
+        return self._combine(z.to_bytes(self._zbytes, "little"), self._fold, z & self._keep)
+
+    def pow(self, x, k):
+        if k == 0:
+            return self.one
+        result = x
+        for bit in bin(k)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, x)
+        return result
+
+    def frobenius(self, x):
+        """x^q, applied as the F_q-linear map it is: T^i u^k -> (T^q)^i u^k."""
+        if self._frob is None:
+            tq, power, images = self.pow(self.t, self.q), self.one, []
+            for i in range(self.n):
+                for k in range(self.e):
+                    at = i * self._rowb + k * self._wb
+                    images.append((at, self.mul(power, 1 << (self._bits * k))))
+                power = self.mul(power, tq)
+            self._frob = images
+        return self._combine(x.to_bytes(self._ebytes, "little"), self._frob, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +612,8 @@ class FqnCtx:
         self.zero = ()
         self.one = (base.one,)
         self.generator = pmod(base, (base.zero, base.one), modulus)
+        self._packed = None
+        self.subfield_bases = {}  # ell -> basis tuple; filled by bch.subfield_basis
 
     def __repr__(self):
         return f"FqnCtx(q={self.q}, n={self.n}, primitive={self.primitive})"
@@ -436,8 +627,15 @@ class FqnCtx:
     def neg(self, a):
         return pstrip(self.base, [self.base.neg(c) for c in a])
 
+    def _kernel(self):
+        """The packed kernel of this field, built on first use."""
+        if self._packed is None:
+            self._packed = _Packed(self.base.p, self.base.g, self.modulus)
+        return self._packed
+
     def mul(self, a, b):
-        return pmod(self.base, pmul(self.base, a, b), self.modulus)
+        k = self._kernel()
+        return k.unpack(k.mul(k.pack(a), k.pack(b)))
 
     def inv(self, a):
         if not a:
@@ -447,14 +645,8 @@ class FqnCtx:
     def pow(self, a, k):
         if k < 0:
             return self.pow(self.inv(a), -k)
-        result = self.one
-        base = a
-        while k > 0:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        kernel = self._kernel()
+        return kernel.unpack(kernel.pow(kernel.pack(a), k))
 
     def is_zero(self, a):
         return a == ()
@@ -475,7 +667,8 @@ class FqnCtx:
 
 def frobenius(fctx, a):
     """The q-power map, the generating automorphism of F_{q^n} over F_q."""
-    return fctx.pow(a, fctx.q)
+    k = fctx._kernel()
+    return k.unpack(k.frobenius(k.pack(a)))
 
 
 def minimal_polynomial(fctx, a):
@@ -483,35 +676,28 @@ def minimal_polynomial(fctx, a):
 
     Requires the n conjugate powers a, a^q, ... to be pairwise distinct;
     the product of (T - conjugate) then has coefficients that collapse into
-    F_q, which is verified coefficient by coefficient.
+    F_q, which is verified coefficient by coefficient.  Conjugates and the
+    product stay packed.
     """
-    n = fctx.n
-    conjugates = [a]
-    cur = a
+    n, k = fctx.n, fctx._kernel()
+    conjugates = [k.pack(a)]
     for _ in range(n - 1):
-        cur = frobenius(fctx, cur)
-        conjugates.append(cur)
+        conjugates.append(k.frobenius(conjugates[-1]))
     if len(set(conjugates)) != n:
         raise ConjugatesCollide("element lies in a proper subfield")
-    # product over F_{q^n}[T]
-    poly = (fctx.one,)
+    # product over F_{q^n}[T], low first: multiply by (T - c) for each c
+    poly = [k.one]
     for c in conjugates:
-        poly = _poly_shift_mul(fctx, poly, c)
+        neg = k.neg(c)
+        poly = ([k.mul(poly[0], neg)]
+                + [k.add(lo, k.mul(hi, neg)) for lo, hi in zip(poly, poly[1:])]
+                + [poly[-1]])
     out = []
-    for coeff in poly:
+    for packed in poly:
+        coeff = k.unpack(packed)
         if len(coeff) > 1:
             raise CoefficientNotInBase("conjugate product left the base field")
         out.append(coeff[0] if coeff else fctx.base.zero)
-    return tuple(out)
-
-
-def _poly_shift_mul(fctx, poly, root):
-    """Multiply a polynomial over F_{q^n} by (T - root)."""
-    neg = fctx.neg(root)
-    out = [fctx.zero] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i + 1] = fctx.add(out[i + 1], c)
-        out[i] = fctx.add(out[i], fctx.mul(c, neg))
     return tuple(out)
 
 

@@ -54,15 +54,11 @@ def index_irreducible(fctx, i):
     if word is TOO_LARGE:  # unreachable: count checked above
         raise NotAperiodic("lyndon index out of range")
     # aperiodicity excludes the all-(q-1) word, the missing exponent residue
-    assert any(d != q - 1 for d in word.digits)
+    if all(d == q - 1 for d in word.digits):
+        raise NotAperiodic("lyndon index returned the periodic all-(q-1) word")
     exponent = word.to_int()
     alpha = fctx.pow(fctx.generator, exponent)
     return minimal_polynomial(fctx, alpha)
-
-
-def exponent_word(fctx, i):
-    """The Lyndon exponent word backing index i (n >= 2); test/debug helper."""
-    return indexing.index_lyndon(fctx.n, fctx.q, i)
 
 
 def format_poly(fctx, poly):

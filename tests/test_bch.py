@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 
 from necklaces import bch, gf
-from necklaces.errors import NotADivisor, TooBig, ZeroColumn
+from necklaces.errors import InvariantViolated, NotADivisor, TooBig, ZeroColumn
+from necklaces.words import NkString
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +232,19 @@ def test_column_elements(f8):
     assert len(seen) == 8
     seen = {bch.nonzero_column_element(f8, c) for c in range(7)}
     assert len(seen) == 7 and f8.zero not in seen
+
+
+def test_row_search_invariants_raise(f8, monkeypatch):
+    """The row searches check their result with raises, which survive python -O."""
+    params = bch.BchParams(f8, 4)
+    true_min_rotation = bch.min_rotation
+
+    def shifted(word):
+        rep, k = true_min_rotation(word)
+        return NkString(rep.n, rep.q, rep.digits[1:] + rep.digits[:1]), k
+
+    monkeypatch.setattr(bch, "min_rotation", shifted)
+    with pytest.raises(InvariantViolated):
+        bch.parity_row(params, 2)
+    with pytest.raises(InvariantViolated):
+        bch.generator_row(params, 2)

@@ -3,13 +3,13 @@
 `bench/tracing.py` installs its wrappers by looking names up with
 `owner.__dict__[attr]`, so renaming or removing a traced function breaks
 `bench/run.py --trace 1`.  This test imports the tracer unchanged and runs
-one traced rank.
+one traced rank and one traced operation of each kind on the field layer.
 """
 
 import importlib
 from pathlib import Path
 
-from necklaces import counting, engine, indexing
+from necklaces import bch, counting, engine, gf, indexing, irreducible
 from necklaces.words import NkString
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -29,3 +29,24 @@ def test_tracer_wraps_count_below(monkeypatch):
     assert tracer.calls["engine.count_below"] >= 1
     assert tracer.memo_end is not None
     assert engine.count_below is original
+
+
+def test_tracer_counts_the_field_layer(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    base = gf.default_fq_ctx(2)
+    fctx = gf.find_primitive_polynomial(base, 6, gf.factorize(63), 1)
+    original_mul, original_frobenius = gf.FqnCtx.__dict__["mul"], bch.frobenius
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        irreducible.index_irreducible(fctx, 5)
+        params = bch.BchParams(fctx, 50)
+        bch.generator_entry(params, 3, fctx.element_from_int(9))
+        bch.parity_entry(params, 3, fctx.element_from_int(9))
+    finally:
+        tracer.uninstall()
+    for name in ("gf.minimal_polynomial", "bch.subfield_basis", "gf.fqn_pow"):
+        assert tracer.calls[name] >= 1, name
+    assert gf.FqnCtx.__dict__["mul"] is original_mul
+    assert bch.frobenius is original_frobenius

@@ -30,6 +30,18 @@ def test_primality_and_factorize():
     assert gf.factorize((2**31 - 1) * 97) == [97, 2147483647]
 
 
+def test_primality_beyond_the_fixed_base_bound():
+    # psi_12 and psi_13: the least strong pseudoprimes to all prime bases up
+    # to 37 and to 41, which a Miller-Rabin test on bases 2..37 accepts
+    psi12 = 318665857834031151167461
+    psi13 = 3317044064679887385961981
+    assert not gf.is_probable_prime(psi12)
+    assert not gf.is_probable_prime(psi13)
+    assert gf.factorize(psi12) == [399165290221, 798330580441]
+    with pytest.raises(BadFactorization):
+        gf.check_factorization(psi12, [psi12])  # an advice factors line
+
+
 def test_f4_arithmetic():
     f4 = gf.FqCtx(2, 2, (1, 1, 1))
     u, u1 = (0, 1), (1, 1)

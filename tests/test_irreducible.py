@@ -1,8 +1,10 @@
 import pytest
 
-from necklaces import gf, irreducible
+from necklaces import gf, indexing, irreducible
+from necklaces.errors import NotAperiodic
 from necklaces.indexing import TOO_LARGE
 from necklaces.oracle import brute_irreducibles, closed_form_counts
+from necklaces.words import NkString
 
 
 def _primitive_ctx(q, n, seed=11):
@@ -101,3 +103,10 @@ def test_requires_primitive_context():
         irreducible.index_irreducible(ctx, 1)
     with pytest.raises(ValueError):
         irreducible.index_irreducible(_primitive_ctx(2, 3), 0)
+
+
+def test_periodic_exponent_word_raises(monkeypatch):
+    fctx = _primitive_ctx(2, 3)
+    monkeypatch.setattr(indexing, "index_lyndon", lambda n, q, i: NkString(n, q, (q - 1,) * n))
+    with pytest.raises(NotAperiodic):
+        irreducible.index_irreducible(fctx, 1)
