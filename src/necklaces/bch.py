@@ -20,6 +20,7 @@ from functools import lru_cache
 from . import counting
 from .errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
 from .gf import fq_kernel_basis, frobenius, pstrip
+from .indexing import _search
 from .words import NkString, fundamental_period, max_rotation, min_rotation
 
 MATRIX_COLUMN_LIMIT = 2**14
@@ -89,22 +90,15 @@ def generator_row(params, r):
         raise TooBig(f"row {r} beyond {generator_row_count(params)} generator rows")
     ceiling = _word(params, params.d)
 
-    def cum(value):
-        return _cumulative_rows(n, q, NkString.from_int(n, q, value).digits, ceiling.digits)
+    def cum(word):
+        return _cumulative_rows(n, q, word.digits, ceiling.digits)
 
-    lo, hi = 0, q**n - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if cum(mid) < r:
-            lo = mid
-        else:
-            hi = mid - 1
-    rep = _word(params, lo)
+    rep = _search(n, q, r, cum)
     if min_rotation(rep)[0].digits != rep.digits:
         raise InvariantViolated("generator row search ended off a minimal rotation")
     if max_rotation(rep)[0].digits > ceiling.digits:
         raise InvariantViolated("generator row orbit leaves {0, ..., d}")
-    return _orbit_from_word(rep), r - cum(lo)
+    return _orbit_from_word(rep), r - cum(rep)
 
 
 def subfield_basis(ctx, ell):
@@ -180,14 +174,7 @@ def parity_row(params, r):
         raise ValueError("rows are 1-based")
     if r > parity_row_count(params):
         raise TooBig(f"row {r} beyond {parity_row_count(params)} parity rows")
-    lo, hi = 0, q**n - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if counting.count_necklaces_below(_word(params, mid)) < r:
-            lo = mid
-        else:
-            hi = mid - 1
-    rep = _word(params, lo)
+    rep = _search(n, q, r, counting.count_necklaces_below)
     if min_rotation(rep)[0].digits != rep.digits:
         raise InvariantViolated("parity row search ended off a minimal rotation")
     return _orbit_from_word(rep)

@@ -1,11 +1,10 @@
 """Exact counting of words with a rotation below (or above) a threshold.
 
-Counts #{y in Sigma^n : some rotation of y < x} by a forward dynamic program
-over an implicit deterministic automaton, without enumerating the alphabet:
-at every step the symbol space {0, ..., q-1} is split into the few intervals
-on which the transition is constant, and each interval contributes its size
-(an exact big integer) as a multiplicity.  This keeps the work polynomial in
-n and log q.
+Counts #{y in Sigma^n : some rotation of y < x} without enumerating the
+alphabet: at every step the symbol space {0, ..., q-1} is split into the few
+intervals on which the transition is constant, and each interval contributes
+its size (an exact big integer) as a multiplicity.  This keeps the work
+polynomial in n and log q.
 
 The automaton decides "some rotation of y is strictly below x" as the union
 of two events:
@@ -15,190 +14,106 @@ of two events:
   * wraparound: for some a >= 1, y ends with x[0:a] and y[0:n-a] < x[a:n]
     (the rotation by a starts with x's own prefix and drops strictly later).
 
-The contiguous side is a border-chain (KMP) state plus an absorbing fired
-bit.  For the wraparound side, all still-open comparisons of y's prefix
-against suffixes of x have read the same symbols, so the open set is
-determined by one anchor suffix plus the layer; when the last comparison
-closes, the full profile of resolved outcomes is a function of (anchor,
-layer, rank of the closing symbol) and x's self-comparison table, and is
-immediately collapsed to the only thing the future can ask: the set of
-final border-chain lengths that would certify acceptance, stored as a
-bitmask.
+The contiguous side is a KMP match length plus an absorbing FIRED outcome.
+The wraparound side compares y's prefix against every suffix x[a:] at once.
+While a comparison is open, y[0:j] = x[a:a+j] for every open shift a, so a
+state with open comparisons is a node of the substring trie of x: it is
+reached by exactly one prefix, its match length is fixed, and it carries its
+open shifts and the mask of final match lengths already certified by shifts
+that closed below (a shift m certifies the match lengths whose border chain
+contains m, `up_mask[m]`).  Grouping the open shifts by their next digit
+gives the node's children; any other symbol closes every comparison, and a
+running OR of the groups above it gives its mask.  A state with no open
+shift is resolved: it moves by the border chain alone and never changes its
+mask.  `_transitions` returns the ordered partition of the symbols for
+either kind of state.
 
-A resolved state never changes its mask again: it moves by the border chain
-alone, and its accepted completions depend only on (symbols left, match
-length, mask).  So count_below runs the forward pass over the states with
-open comparisons only, records each resolution as an event, and charges
-every event once from a backward table over (symbols left, match length)
-that holds all masks side by side in one big integer, so that the work per
-table entry is big-integer arithmetic, not one dict entry per state
-(_charge_resolved).  count_below_with_ceiling pairs two automata and still
-carries its resolved states forward, merging states with equal masks.
+count_below walks the O(n^2) live nodes layer by layer, records each
+resolution as an event (symbols left, match length, mask), and charges every
+event once from a backward table over (symbols left, match length) that
+holds all masks side by side in one big integer (_charge_resolved).
+count_below_with_ceiling runs a second automaton on the complemented
+ceiling, merges the two sides' partitions (the ceiling side's reversed) and
+carries its resolved pairs forward, merging equal pairs.
 """
 
-from .words import NkString, complement
+from .words import NkString, borders, complement
+
+FIRED = None  # outcome of the symbols on which a contiguous witness fires
 
 
 class _Tables:
-    """Per-threshold precomputation: borders, border chains, suffix LCPs."""
+    """Per-threshold tables over the KMP border chains of x."""
 
     def __init__(self, digits, q):
         self.x = digits
         self.q = q
-        n = len(digits)
-        self.n = n
+        n = self.n = len(digits)
+        border = borders(digits)
 
-        border = [0] * (n + 1)
-        k = 0
-        for i in range(1, n):
-            while k > 0 and digits[i] != digits[k]:
-                k = border[k]
-            if digits[i] == digits[k]:
-                k += 1
-            border[i + 1] = k
-        self.border = border
-
-        chains = []
-        for ell in range(n + 1):
-            c = [ell]
-            while c[-1] > 0:
-                c.append(border[c[-1]])
-            chains.append(tuple(c))
-        self.chains = chains
-
-        # up_mask[m]: bitmask of match lengths whose border chain contains m,
-        # i.e. the final states in which a word ending with x[0:m] is ending
-        # with that border of the matched prefix as well.
+        # up_mask[m], m >= 1: bitmask of the match lengths whose border chain
+        # contains m, i.e. the final states in which a word ending with
+        # x[0:m] is ending with that border of the matched prefix as well.
+        # (Shifts are at least 1, so up_mask[0] is never read.)
         up_mask = [0] * (n + 1)
-        for ell in range(n + 1):
-            for m in chains[ell]:
-                if m >= 1:
-                    up_mask[m] |= 1 << ell
+        for ell in range(n, 0, -1):
+            up_mask[ell] |= 1 << ell
+            up_mask[border[ell]] |= up_mask[ell]
         self.up_mask = up_mask
 
-        # eqmap[ell]: symbol value -> next match length (longest extension);
-        # fire_above[ell]: a contiguous witness fires iff the symbol is below
-        # this, the largest digit on the border chain.
-        self.eqmap = []
-        self.fire_above = []
-        for ell in range(n):
-            m_of = {}
-            for m in chains[ell]:
-                v = digits[m]
-                if v not in m_of or m > m_of[v]:
-                    m_of[v] = m
-            self.eqmap.append({v: m + 1 for v, m in m_of.items()})
-            self.fire_above.append(max(m_of))
-        self.eqmap.append(None)
-        self.fire_above.append(None)
-
-        # lcp[a][b] = length of the longest common prefix of x[a:] and x[b:].
-        lcp = [[0] * (n + 1) for _ in range(n + 1)]
-        for a in range(n - 1, -1, -1):
-            row = lcp[a]
-            nxt = lcp[a + 1]
-            for b in range(n - 1, -1, -1):
-                if digits[a] == digits[b]:
-                    row[b] = nxt[b + 1] + 1
-        self.lcp = lcp
-
-        self._lives_cache = {}
-        self._diverged_below = {}
-
-    def lives(self, j, anchor):
-        """Open wraparound shifts after j symbols equal to x[anchor:anchor+j]."""
-        key = (j, anchor)
-        got = self._lives_cache.get(key)
-        if got is None:
-            lcp_a = self.lcp[anchor]
-            got = tuple(a for a in range(1, self.n - j) if lcp_a[a] >= j)
-            self._lives_cache[key] = got
-        return got
-
-    def death_mask(self, anchor, layer, closing):
-        """Acceptance mask after the last open comparison closes.
-
-        The result is the OR of up_mask over the shifts m whose rotation ends
-        strictly below.  Two kinds of shift qualify.  A shift that diverged
-        from the anchor suffix before this layer (lcp < layer) is below when
-        its digit at the divergence exceeds the anchor's; that set depends on
-        (anchor, layer) only and is read from a per-anchor prefix OR.  A shift
-        still open at this layer reads `closing` next and is below when its
-        next threshold digit exceeds it.
-        """
-        below = self._diverged_below.get(anchor)
-        if below is None:
-            below = self._diverged_below[anchor] = self._diverged_prefix(anchor)
-        mask = below[layer]
-        x, up_mask = self.x, self.up_mask
-        for m in self.lives(layer, anchor):
-            if x[m + layer] > closing:
-                mask |= up_mask[m]
-        return mask
-
-    def _diverged_prefix(self, anchor):
-        # at[L]: OR of up_mask[m] over the shifts m that diverge from
-        # x[anchor:] at some d < L inside both suffixes, with x[m+d] above
-        # x[anchor+d].  Open comparisons at anchor all end before n - anchor.
-        x, n = self.x, self.n
-        lcp_a = self.lcp[anchor]
-        at = [0] * (n + 1)
-        for m in range(1, n):
-            d = lcp_a[m]
-            if d < n - m and d < n - anchor and x[m + d] > x[anchor + d]:
-                at[d + 1] |= self.up_mask[m]
-        for d in range(1, n + 1):
-            at[d] |= at[d - 1]
-        return at
+        # fire_above[ell]: a contiguous witness fires iff the symbol read at
+        # match length ell is below this, the largest x[m] over the border
+        # chain of ell; extend[ell]: the match length after reading it, m + 1
+        # for the longest such m.  Larger symbols drop the match length to 0.
+        fire_above, extend = [digits[0]] * n, [1] * n
+        for ell in range(1, n):
+            b = border[ell]
+            if digits[ell] >= fire_above[b]:
+                fire_above[ell], extend[ell] = digits[ell], ell + 1
+            else:
+                fire_above[ell], extend[ell] = fire_above[b], extend[b]
+        self.fire_above = fire_above
+        self.extend = extend
 
 
-# Wraparound keys: ("L", anchor) while comparisons are open, afterwards the
-# integer acceptance mask (0 when nothing can certify, or when n == 1).
+def _transitions(tab, state, j):
+    """Ordered partition of {0, ..., q-1} for `state` reading symbol j.
 
-
-def _step_breakpoints(tab, ell, wkey, j):
-    vals = set(tab.eqmap[ell])
-    if type(wkey) is tuple:
-        vals.update(tab.x[a + j] for a in tab.lives(j, wkey[1]))
-    return vals
-
-
-def _step(tab, ell, wkey, j, c):
-    """Advance one unfired state by symbol c; returns "FIRED" or (ell', wkey')."""
-    if c < tab.fire_above[ell]:
-        return "FIRED"
-    ell2 = tab.eqmap[ell].get(c, 0)
-    if type(wkey) is not tuple:
-        return ell2, wkey
-    anchor = wkey[1]
-    lives = tab.lives(j, anchor)
-    boundary = tab.n - j - 1
-    survivors = [a for a in lives if tab.x[a + j] == c and a < boundary]
-    if survivors:
-        return ell2, ("L", survivors[0])
-    return ell2, tab.death_mask(anchor, j, c)
-
-
-def _pieces(q, breakpoints):
-    """Split {0,...,q-1} into constant-transition pieces: (representative, size)."""
+    A state is (match length, mask, open shifts), live while some shift is
+    open.  Returns (first symbol, size, outcome) in ascending symbol order;
+    the outcome is FIRED or the next state.  A symbol equal to open shifts'
+    next digit keeps those with a digit left open; every other symbol closes
+    them all.  The shifts whose next digit exceeds the symbol end below, so
+    their up_mask joins the mask.
+    """
+    ell, mask, shifts = state
+    x, n, up_mask = tab.x, tab.n, tab.up_mask
+    f = tab.fire_above[ell]
+    groups = {f: []}
+    for a in shifts:
+        groups.setdefault(x[a + j], []).append(a)
     out = []
-    prev = -1
-    for v in sorted(breakpoints):
-        if v >= q:
-            continue
-        gap = v - prev - 1
-        if gap > 0:
-            out.append((prev + 1, gap))
-        out.append((v, 1))
-        prev = v
-    gap = q - prev - 1
-    if gap > 0:
-        out.append((prev + 1, gap))
+    top = tab.q
+    for v in sorted(groups, reverse=True):
+        if v < f:
+            break
+        if top > v + 1:
+            out.append((v + 1, top - v - 1, (0, mask, ())))
+        group = groups[v]
+        out.append((v, 1, (tab.extend[ell] if v == f else 0, mask,
+                           tuple(a for a in group if a + j + 1 < n))))
+        for a in group:
+            mask |= up_mask[a]
+        top = v
+    if f:
+        out.append((0, f, FIRED))
+    out.reverse()
     return out
 
 
-def _final_accepts(ell, wkey):
-    return type(wkey) is int and (wkey >> ell) & 1
+def _accepts(state):
+    ell, mask, _ = state
+    return (mask >> ell) & 1
 
 
 def count_below(digits, q):
@@ -211,30 +126,27 @@ def count_below(digits, q):
     for i in range(1, n + 1):
         pow_q[i] = pow_q[i - 1] * q
 
-    # Forward pass over the states with open comparisons only.  A state that
-    # resolves is recorded as an event (symbols left, match length, mask) and
-    # charged afterwards by _charge_resolved.
+    # Walk the live nodes; each is reached by one prefix, so every piece
+    # counts its size.  A piece that resolves is recorded as an event
+    # (symbols left, match length, mask) and charged by _charge_resolved.
+    # At n = 1 no shift exists: the start state steps once as it is, and its
+    # resolved pieces, with no symbol left and mask 0, accept nothing.
     events = {}
     fired_total = 0
-    if n == 1:
-        events[(1, 0, 0)] = 1  # no wraparound shift exists: resolved at once
-        live = {}
-    else:
-        live = {(0, ("L", 1)): 1}
+    live = [(0, 0, tuple(range(1, n)))]
     for j in range(n):
         tail = pow_q[n - j - 1]
-        nxt_live = {}
-        for (ell, wkey), cnt in live.items():
-            for c, size in _pieces(q, _step_breakpoints(tab, ell, wkey, j)):
-                res = _step(tab, ell, wkey, j, c)
-                if res == "FIRED":
-                    fired_total += cnt * size * tail
-                elif type(res[1]) is tuple:
-                    nxt_live[res] = nxt_live.get(res, 0) + cnt * size
+        nxt = []
+        for state in live:
+            for _, size, out in _transitions(tab, state, j):
+                if out is FIRED:
+                    fired_total += size * tail
+                elif out[2]:
+                    nxt.append(out)
                 else:
-                    key = (n - j - 1, res[0], res[1])
-                    events[key] = events.get(key, 0) + cnt * size
-        live = nxt_live
+                    key = (n - j - 1, out[0], out[1])
+                    events[key] = events.get(key, 0) + size
+        live = nxt
     return fired_total + _charge_resolved(tab, events, pow_q)
 
 
@@ -247,8 +159,8 @@ def _charge_resolved(tab, events, pow_q):
     with that digit; every larger symbol drops to match length 0.  With r
     symbols left, its accepted completions are F_r[ell], those that fire
     later, plus those that never fire and end on a match length whose bit is
-    set in the mask.  With f = fire_above[ell], e = the extended match
-    length and g = q - 1 - f the number of symbols that drop,
+    set in the mask.  With f = fire_above[ell], e = extend[ell] and
+    g = q - 1 - f the number of symbols that drop,
 
         F_0[ell] = 0,  F_r[ell] = f * q^(r-1) + F_(r-1)[e] + g * F_(r-1)[0].
 
@@ -281,7 +193,7 @@ def _charge_resolved(tab, events, pow_q):
                 packed[i * wbytes] = 1
         row.append(int.from_bytes(packed, "little"))
     fired = [0] * (n + 1)
-    moves = [(f, tab.eqmap[ell][f], q - 1 - f) for ell, f in enumerate(tab.fire_above[:n])]
+    moves = [(f, e, q - 1 - f) for f, e in zip(tab.fire_above, tab.extend)]
 
     total = 0
     for r in range(1, max(by_row) + 1):
@@ -293,10 +205,34 @@ def _charge_resolved(tab, events, pow_q):
     return total
 
 
+def _pair_moves(lo, hi, pair, j):
+    """(size, next pair) for a pair of states, pieces whose hi side fires dropped.
+
+    The hi side reads complemented symbols, so its partition is reversed
+    before the two are merged; a fired lo side stays fired.
+    """
+    slo, shi = pair
+    q = lo.q
+    plo = [(0, q, FIRED)] if slo is FIRED else _transitions(lo, slo, j)
+    phi = [(q - c - size, size, out) for c, size, out in reversed(_transitions(hi, shi, j))]
+    moves = []
+    i = k = c = 0
+    while c < q:
+        c0, s0, out_lo = plo[i]
+        c1, s1, out_hi = phi[k]
+        end = min(c0 + s0, c1 + s1)
+        if out_hi is not FIRED:  # else some rotation already exceeds the ceiling
+            moves.append((end - c, (out_lo, out_hi)))
+        i += end == c0 + s0
+        k += end == c1 + s1
+        c = end
+    return moves
+
+
 def count_below_with_ceiling(digits, ceiling, q):
     """#{y : some rotation below `digits` and no rotation above `ceiling`}.
 
-    The "above" side reuses the "below" machinery on complemented words: a
+    The "above" side reuses the "below" automaton on complemented words: a
     rotation of y exceeds the ceiling exactly when the matching rotation of
     the complemented word drops below the complemented ceiling.
     """
@@ -306,33 +242,24 @@ def count_below_with_ceiling(digits, ceiling, q):
     lo = _Tables(tuple(digits), q)
     hi = _Tables(complement(NkString(n, q, tuple(ceiling))).digits, q)
 
-    start = ("L", 1) if n >= 2 else 0
-    # lo-side state becomes the string "FIRED" once a contiguous witness fires.
-    frontier = {((0, start), (0, start)): 1}
+    start = (0, 0, tuple(range(1, n)))
+    frontier = {(start, start): 1}
+    memo = {}  # pair with no open shift -> its moves, the same at every layer
     for j in range(n):
         nxt = {}
-        for (slo, shi), cnt in frontier.items():
-            vals = set()
-            if slo != "FIRED":
-                vals.update(_step_breakpoints(lo, slo[0], slo[1], j))
-            # hi side reads complemented symbols: map its breakpoints back.
-            vals.update(q - 1 - v for v in _step_breakpoints(hi, shi[0], shi[1], j))
-            for c, size in _pieces(q, vals):
-                if slo == "FIRED":
-                    slo2 = "FIRED"
-                else:
-                    slo2 = _step(lo, slo[0], slo[1], j, c)
-                shi2 = _step(hi, shi[0], shi[1], j, q - 1 - c)
-                if shi2 == "FIRED":
-                    continue  # some rotation already exceeds the ceiling
-                key = (slo2, shi2)
+        for pair, cnt in frontier.items():
+            moves = memo.get(pair)
+            if moves is None:
+                moves = _pair_moves(lo, hi, pair, j)
+                slo, shi = pair
+                if not shi[2] and (slo is FIRED or not slo[2]):
+                    memo[pair] = moves
+            for size, key in moves:
                 nxt[key] = nxt.get(key, 0) + cnt * size
         frontier = nxt
 
     total = 0
     for (slo, shi), cnt in frontier.items():
-        if _final_accepts(*shi):
-            continue
-        if slo == "FIRED" or _final_accepts(*slo):
+        if not _accepts(shi) and (slo is FIRED or _accepts(slo)):
             total += cnt
     return total

@@ -127,26 +127,40 @@ def _strong_lucas(m):
 
 
 def _pollard_rho(m):
+    """A nontrivial factor of the composite m: Pollard rho, Brent's cycle finding.
+
+    The differences |x - y| of a batch of steps are multiplied mod m and
+    share one gcd; a batch whose gcd reaches m is replayed one step at a
+    time from its start.
+    """
     if m % 2 == 0:
         return 2
     rng = random.Random(m)
+    batch = 128
     while True:
         c = rng.randrange(1, m)
-        f = lambda v: (v * v + c) % m
-        x = y = rng.randrange(2, m)
-        d = 1
+        y = rng.randrange(2, m)
+        r, d, prod = 1, 1, 1
         while d == 1:
-            x = f(x)
-            y = f(f(y))
-            d = _gcd(abs(x - y), m)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and d == 1:
+                start = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % m
+                    prod = prod * abs(x - y) % m
+                d = math.gcd(prod, m)
+                k += batch
+            r *= 2
+        if d == m:
+            d, y = 1, start
+            while d == 1:
+                y = (y * y + c) % m
+                d = math.gcd(abs(x - y), m)
         if d != m:
             return d
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def factorize(m):

@@ -50,14 +50,17 @@ class ProbeCounter:
         self.count += 1
 
 
-def _search(n, q, j, below, path, probe_counter):
-    """Largest word x with below(x) < j, as an integer binary search."""
+def _search(n, q, j, below, probe_counter=None):
+    """Largest word x with below(x) < j, as an integer binary search.
+
+    `below` must be nondecreasing in x and below(0...0) < j.
+    """
     lo, hi = 0, q**n - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if probe_counter is not None:
             probe_counter.bump()
-        if below(NkString.from_int(n, q, mid), path) < j:
+        if below(NkString.from_int(n, q, mid)) < j:
             lo = mid
         else:
             hi = mid - 1
@@ -70,7 +73,7 @@ def index_necklace(n, q, j, path="auto", probe_counter=None):
         raise ValueError("ranks are 1-based")
     if j > counting.count_necklaces(n, q, path):
         return TOO_LARGE
-    return _search(n, q, j, counting.count_necklaces_below, path, probe_counter)
+    return _search(n, q, j, lambda x: counting.count_necklaces_below(x, path), probe_counter)
 
 
 def reverse_index_necklace(x, path="auto"):
@@ -86,7 +89,7 @@ def index_lyndon(n, q, j, path="auto", probe_counter=None):
         raise ValueError("ranks are 1-based")
     if j > counting.count_lyndon(n, q, path):
         return TOO_LARGE
-    return _search(n, q, j, counting.count_lyndon_below, path, probe_counter)
+    return _search(n, q, j, lambda x: counting.count_lyndon_below(x, path), probe_counter)
 
 
 def reverse_index_lyndon(x, path="auto"):

@@ -28,7 +28,7 @@ every node additionally carries its coordinate mod t.
 from dataclasses import dataclass, field
 
 from .errors import LayerMismatch, TooBig
-from .words import BinWord, bits_for
+from .words import BinWord, bits_for, borders
 
 QARY_LIMIT = 16
 
@@ -176,15 +176,7 @@ class _SuffixTracker:
         self.x = bits
         n = len(bits)
         self.n = n
-        border = [0] * (n + 1)
-        k = 0
-        for i in range(1, n):
-            while k > 0 and bits[i] != bits[k]:
-                k = border[k]
-            if bits[i] == bits[k]:
-                k += 1
-            border[i + 1] = k
-        self.border = border
+        self.border = borders(bits)
         self.last_one = None
         for i in range(n - 1, -1, -1):
             if bits[i] == 1:
@@ -501,17 +493,8 @@ def _qary_guard(q):
 class _QarySuffixTracker:
     def __init__(self, digits):
         self.x = digits
-        n = len(digits)
-        self.n = n
-        border = [0] * (n + 1)
-        k = 0
-        for i in range(1, n):
-            while k > 0 and digits[i] != digits[k]:
-                k = border[k]
-            if digits[i] == digits[k]:
-                k += 1
-            border[i + 1] = k
-        self.border = border
+        self.n = len(digits)
+        self.border = borders(digits)
 
     def chain0(self, ell):
         c = [ell]

@@ -87,6 +87,20 @@ def rotate(x, i):
     return NkString(n, x.q, x.digits[n - i:] + x.digits[:n - i])
 
 
+def borders(s):
+    """KMP border table: b[i] is the longest proper border of s[:i], i = 0..len(s)."""
+    n = len(s)
+    b = [0] * (n + 1)
+    k = 0
+    for i in range(1, n):
+        while k > 0 and s[i] != s[k]:
+            k = b[k]
+        if s[i] == s[k]:
+            k += 1
+        b[i + 1] = k
+    return b
+
+
 def fundamental_period(x):
     """Smallest p with x equal to n/p copies of its length-p prefix; divides n."""
     n = x.n

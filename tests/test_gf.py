@@ -38,6 +38,9 @@ def test_primality_beyond_the_fixed_base_bound():
     assert not gf.is_probable_prime(psi12)
     assert not gf.is_probable_prime(psi13)
     assert gf.factorize(psi12) == [399165290221, 798330580441]
+    factors = gf.factorize(psi13)
+    assert len(factors) == 2 and factors[0] * factors[1] == psi13
+    assert all(gf.is_probable_prime(p) for p in factors)
     with pytest.raises(BadFactorization):
         gf.check_factorization(psi12, [psi12])  # an advice factors line
 

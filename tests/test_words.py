@@ -10,6 +10,7 @@ from necklaces.words import (
     bin_decode,
     bin_encode,
     bits_for,
+    borders,
     complement,
     format_word,
     fundamental_period,
@@ -214,3 +215,13 @@ def test_complement_reverses_order():
     a, b = w("0110"), w("1001")
     assert complement(a).digits == b.digits
     assert (a.digits < b.digits) == (complement(a).digits > complement(b).digits)
+
+
+def test_borders_match_brute_force():
+    assert borders((0, 1, 0, 0, 1, 0, 1)) == [0, 0, 0, 1, 1, 2, 3, 2]
+    assert borders(()) == [0]
+    rng = random.Random(8)
+    for _ in range(200):
+        s = tuple(rng.randrange(rng.choice((2, 3, 2**40))) for _ in range(rng.randint(1, 14)))
+        want = [0] + [max(k for k in range(i) if s[:k] == s[i - k:i]) for i in range(1, len(s) + 1)]
+        assert borders(s) == want, s
