@@ -126,7 +126,7 @@ def subfield_basis(ctx, ell):
     rows = [[columns[c][r] for c in range(n)] for r in range(n)]
     kernel = fq_kernel_basis(base, rows, n)
     if len(kernel) != ell:
-        raise AssertionError("fixed-subfield dimension mismatch; field bug")
+        raise InvariantViolated("fixed-subfield dimension mismatch; field bug")
     basis = ctx.subfield_bases[ell] = tuple(pstrip(base, vec) for vec in kernel)
     return list(basis)
 
@@ -204,15 +204,17 @@ def nonzero_column_element(ctx, index):
     return ctx.pow(ctx.generator, index)
 
 
-def brute_generator_rows(params):
-    """All qualifying (orbit, j) rows by explicit orbit enumeration."""
-    ctx = params.ctx
-    n, q = ctx.n, ctx.q
+def _brute_orbits(params):
+    """(orbit, maximum) for every orbit of Z_{q^n-1} under multiplication by q.
+
+    Each orbit is first reached at its minimum, so they come out in
+    ascending order of their minimum.
+    """
+    n, q = params.ctx.n, params.ctx.q
     if q**n > 2**20:
         raise TooBig("brute row enumeration guardrail")
     modulus = q**n - 1
     seen = set()
-    orbits = []
     for a in range(modulus):
         if a in seen:
             continue
@@ -222,33 +224,20 @@ def brute_generator_rows(params):
             orbit.add(b)
             b = b * q % modulus
         seen |= orbit
-        orbits.append(orbit)
-    rows = []
-    for orbit in sorted(orbits, key=min):
-        if max(orbit) <= params.d:
-            for j in range(1, len(orbit) + 1):
-                rows.append((OrbitSet(min(orbit), len(orbit)), j))
+        yield OrbitSet(a, len(orbit)), max(orbit)
+
+
+def brute_generator_rows(params):
+    """All qualifying (orbit, j) rows by explicit orbit enumeration."""
+    rows = [
+        (orbit, j)
+        for orbit, top in _brute_orbits(params)
+        if top <= params.d
+        for j in range(1, orbit.size + 1)
+    ]
     return rows, len(rows)
 
 
 def brute_parity_orbits(params):
-    ctx = params.ctx
-    n, q = ctx.n, ctx.q
-    if q**n > 2**20:
-        raise TooBig("brute row enumeration guardrail")
-    modulus = q**n - 1
-    seen = set()
-    out = []
-    for a in range(modulus):
-        if a in seen:
-            continue
-        orbit = {a}
-        b = a * q % modulus
-        while b != a:
-            orbit.add(b)
-            b = b * q % modulus
-        seen |= orbit
-        if min(orbit) <= params.d:
-            out.append(OrbitSet(min(orbit), len(orbit)))
-    out.sort(key=lambda s: s.m)
-    return out
+    """Orbits with minimum at most d by explicit enumeration, ascending."""
+    return [orbit for orbit, _ in _brute_orbits(params) if orbit.m <= params.d]

@@ -22,14 +22,14 @@ from .words import NkString, format_word, parse_word
 
 
 def _parse_qspec(text):
-    """Alphabet/field size as "p" or "p^e"."""
+    """Field size as "p" or "p^e" with p prime."""
     if "^" in text:
         p_str, e_str = text.split("^", 1)
         p, e = int(p_str), int(e_str)
     else:
         p, e = int(text), 1
-    if p < 2 or e < 1:
-        raise ValueError(f"bad field size specification {text!r}")
+    if e < 1 or not gf.is_probable_prime(p):
+        raise ValueError(f"bad field size specification {text!r}: need p^e, p prime")
     return p, e
 
 
@@ -253,7 +253,8 @@ def build_parser():
         "--path",
         choices=counting.PATHS,
         default="auto",
-        help="counting strategy override (default: auto)",
+        help="counting path: auto (the arithmetic engine, default) or encoded "
+        "(the paper's binary-encoded branching programs, kept as a cross-check)",
     )
     parser.add_argument(
         "--format",

@@ -15,21 +15,20 @@ automaton; for p < n a word with orbit size dividing p is a repetition of a
 length-p block, and the count reduces to a length-p instance plus an easily
 decided correction of one extra orbit.
 
-Three interchangeable evaluation paths are kept: "auto" evaluates the
-automaton arithmetically (polynomial in n and log q), "direct" materializes
-a q-ary branching program (small q only), "encoded" materializes the
-bit-level blocked programs over the binary expansion.  They are
-cross-validated against each other and against brute force in the tests.
+Two interchangeable evaluation paths are kept: "auto" evaluates the
+automaton arithmetically (polynomial in n and log q), and "encoded"
+materializes the paper's read-once branching programs over the binary
+expansion of the alphabet, kept as the cross-check.  Both are validated
+against each other and against brute force in the tests.
 """
 
 from functools import lru_cache
 
 from . import engine
-from .errors import NotADivisor, TooBig
+from .errors import InvariantViolated, NotADivisor
 from .words import NkString, bin_encode, bits_for, fundamental_period, min_rotation
 
-PATHS = ("auto", "direct", "encoded")
-DIRECT_LIMIT = 16
+PATHS = ("auto", "encoded")
 
 
 def divisors(n):
@@ -75,19 +74,6 @@ def _count_full(digits, q, path):
     """#{y : some rotation of y below the threshold}, full length."""
     if path == "auto":
         return engine.count_below(digits, q)
-    x = NkString(len(digits), q, digits)
-    if path == "direct":
-        if q > DIRECT_LIMIT:
-            raise TooBig(f"direct path materializes q={q} arcs per node")
-        from .programs import (
-            build_contiguous_qary,
-            build_union,
-            build_wraparound_qary,
-            count_accepted,
-        )
-
-        bp = build_union(build_contiguous_qary(x), build_wraparound_qary(x))
-        return count_accepted(bp)
     from .programs import (
         build_alphabet_restriction,
         build_intersection,
@@ -96,8 +82,8 @@ def _count_full(digits, q, path):
     )
 
     t = bits_for(q)
-    ax = build_rotation_witness(bin_encode(x), t)
-    a0 = build_alphabet_restriction(x.n, t, q)
+    ax = build_rotation_witness(bin_encode(NkString(len(digits), q, digits)), t)
+    a0 = build_alphabet_restriction(len(digits), t, q)
     return count_accepted(build_intersection(ax, a0))
 
 
@@ -130,14 +116,14 @@ def _count_dividing_cached(digits, q, p, path):
 
 def count_words_below_period_dividing(x, p, path="auto"):
     """#{y : orbit size of y divides p, some rotation of y below x}."""
-    if x.n % p != 0 or p < 1:
+    if p < 1 or x.n % p != 0:
         raise NotADivisor(f"period {p} does not divide length {x.n}")
     return _count_dividing_cached(x.digits, x.q, p, _resolve_path(path))
 
 
 def count_words_below_period_exact(x, p, path="auto"):
     """#{y : orbit size exactly p, some rotation of y below x}."""
-    if x.n % p != 0 or p < 1:
+    if p < 1 or x.n % p != 0:
         raise NotADivisor(f"period {p} does not divide length {x.n}")
     path = _resolve_path(path)
     total = 0
@@ -154,7 +140,7 @@ def count_necklaces_below(x, path="auto"):
         exact = count_words_below_period_exact(x, i, path)
         orbits, rem = divmod(exact, i)
         if rem:
-            raise RuntimeError(
+            raise InvariantViolated(
                 f"orbit count for size {i} not divisible by {i}; counting bug"
             )
         total += orbits
@@ -166,7 +152,7 @@ def count_lyndon_below(x, path="auto"):
     exact = count_words_below_period_exact(x, x.n, path)
     orbits, rem = divmod(exact, x.n)
     if rem:
-        raise RuntimeError("aperiodic word count not divisible by n; counting bug")
+        raise InvariantViolated("aperiodic word count not divisible by n; counting bug")
     return orbits
 
 

@@ -564,10 +564,6 @@ class FqCtx:
         return v
 
 
-def element_to_int(ctx, a):
-    return ctx.element_to_int(a)
-
-
 def poly_to_int(ctx, f):
     """Integer order of a low-first polynomial over ctx: sum element_to_int(c_i) q^i.
 

@@ -180,7 +180,7 @@ def selftest(max_n_binary=8, verbose=False):
             good &= counting.count_necklaces_below(x) == brute_necklaces_below(x)
     check("counting identities vs brute force", good)
 
-    # encoded path equals direct path equals brute force
+    # the paper's binary-encoded programs equal the engine and brute force
     good = True
     for q in (3, 4, 5):
         for n in (2, 3):
@@ -189,14 +189,10 @@ def selftest(max_n_binary=8, verbose=False):
                 expect = brute_words_below_period_dividing(x, n)
                 good &= counting.count_words_below_period_dividing(x, n) == expect
                 good &= (
-                    counting.count_words_below_period_dividing(x, n, path="direct")
-                    == expect
-                )
-                good &= (
                     counting.count_words_below_period_dividing(x, n, path="encoded")
                     == expect
                 )
-    check("alphabet-encoding path equivalence", good)
+    check("encoded path equals engine and brute force", good)
 
     # irreducible polynomial indexing
     good = True

@@ -20,18 +20,15 @@ Prefix tracking for the wraparound case must follow witness *suffixes*
 (arbitrary mid-x starting points), which the positional pairs cannot
 express; those states are labeled by their content directly.
 
-Blocked variants restrict witness occurrences to starts at multiples of a
-block width t, which is what rotation by whole encoded symbols requires;
-every node additionally carries its coordinate mod t.
+Witness occurrences are restricted to starts at multiples of a block width
+t, which is what rotation by whole encoded symbols requires (t = 1 for a
+plain binary threshold); every node carries its coordinate mod t.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import LayerMismatch, TooBig
-from .words import BinWord, bits_for, borders
-
-QARY_LIMIT = 16
-
+from .errors import LayerMismatch
+from .words import bits_for, borders
 
 @dataclass
 class BranchingProgram:
@@ -215,17 +212,17 @@ class _SuffixTracker:
                 return (m + 1, False)
         return (0, False)
 
-    def fires(self, state, bit, pos=None, t=1):
+    def fires(self, state, bit, pos, t):
         """Does reading `bit` at 0-indexed position `pos` complete a witness?
 
-        With t > 1 only witnesses starting at coordinates divisible by t count;
-        the witness through chain length m starts at pos - m.
+        Only witnesses starting at coordinates divisible by t count; the
+        witness through chain length m starts at pos - m.
         """
         if bit != 0:
             return False
         for m in self.chain(state):
             if m < self.n and self.x[m] == 1:
-                if t == 1 or (pos - m) % t == 0:
+                if (pos - m) % t == 0:
                     return True
         return False
 
@@ -305,10 +302,10 @@ class _PrefixTracker:
         return self.longest_suffix_lang_prefix(content)
 
 
-def _wrap_accepts(suffix_tracker, prefix_tracker, suffix_state, prefix_state, t=1):
+def _wrap_accepts(suffix_tracker, prefix_tracker, suffix_state, prefix_state, t):
     """Final test: a nonempty suffix u and nonempty prefix v with uv a witness.
 
-    u must be x[0:m] (m a multiple of t for blocked programs) and v the
+    u must be x[0:m] with m a multiple of t, and v the
     matching witness suffix x[m:k]0; u ranges over the border chain of the
     final suffix state, v over prefixes of the final prefix-side value.
     """
@@ -316,7 +313,7 @@ def _wrap_accepts(suffix_tracker, prefix_tracker, suffix_state, prefix_state, t=
     n = suffix_tracker.n
     r = prefix_tracker.final_value(prefix_state)
     for m in suffix_tracker.chain(suffix_state):
-        if m < 1 or m >= n or (t > 1 and m % t != 0):
+        if m < 1 or m >= n or m % t != 0:
             continue
         for k in range(m, n):
             if x[k] != 1:
@@ -330,28 +327,18 @@ def _wrap_accepts(suffix_tracker, prefix_tracker, suffix_state, prefix_state, t=
 def build_contiguous(x, t=1):
     """Program accepting words containing a witness for x as a substring.
 
-    With t > 1 only block-aligned witness starts count.  Nodes are
-    (suffix-state, seen-witness bit) plus the coordinate mod t when t > 1.
+    Only block-aligned witness starts count.  Nodes are (suffix-state,
+    seen-witness bit, coordinate mod t).
     """
     bits = x.bits
-    n = len(bits)
     tracker = _SuffixTracker(bits)
 
-    if t == 1:
-        def step(label, sym, j):
-            state, fired = label
-            return tracker.step(state, sym), fired or tracker.fires(state, sym)
+    def step(label, sym, j):
+        state, fired, _ = label
+        fired2 = fired or tracker.fires(state, sym, j, t)
+        return tracker.step(state, sym), fired2, (j + 1) % t
 
-        start = ((0, False), False)
-    else:
-        def step(label, sym, j):
-            state, fired, _ = label
-            fired2 = fired or tracker.fires(state, sym, pos=j, t=t)
-            return tracker.step(state, sym), fired2, (j + 1) % t
-
-        start = ((0, False), False, 0)
-
-    return _build_layered(n, 2, start, step, lambda lab: lab[1])
+    return _build_layered(len(bits), 2, ((0, False), False, 0), step, lambda lab: lab[1])
 
 
 def build_wraparound(x, t=1):
@@ -362,28 +349,16 @@ def build_wraparound(x, t=1):
     prefix v with uv a witness.
     """
     bits = x.bits
-    n = len(bits)
     st = _SuffixTracker(bits)
     pt = _PrefixTracker(bits)
 
-    if t == 1:
-        def step(label, sym, j):
-            return st.step(label[0], sym), pt.step(label[1], sym)
+    def step(label, sym, j):
+        return st.step(label[0], sym), pt.step(label[1], sym), (j + 1) % t
 
-        def accept(label):
-            return _wrap_accepts(st, pt, label[0], label[1])
+    def accept(label):
+        return _wrap_accepts(st, pt, label[0], label[1], t)
 
-        start = ((0, False), ("live", ()))
-    else:
-        def step(label, sym, j):
-            return st.step(label[0], sym), pt.step(label[1], sym), (j + 1) % t
-
-        def accept(label):
-            return _wrap_accepts(st, pt, label[0], label[1], t=t)
-
-        start = ((0, False), ("live", ()), 0)
-
-    return _build_layered(n, 2, start, step, accept)
+    return _build_layered(len(bits), 2, ((0, False), ("live", ()), 0), step, accept)
 
 
 def _combine(a, b, accept_rule):
@@ -479,112 +454,3 @@ def build_rotation_witness(x, t):
     if len(x.bits) % t != 0:
         raise ValueError("threshold length must be a multiple of the block width")
     return build_union(build_contiguous(x, t=t), build_wraparound(x, t=t))
-
-
-# ---------------------------------------------------------------------------
-# direct q-ary constructions (oracle path, small alphabets only)
-
-
-def _qary_guard(q):
-    if q > QARY_LIMIT:
-        raise TooBig(f"direct programs materialize {q} arcs per node; limit {QARY_LIMIT}")
-
-
-class _QarySuffixTracker:
-    def __init__(self, digits):
-        self.x = digits
-        self.n = len(digits)
-        self.border = borders(digits)
-
-    def chain0(self, ell):
-        c = [ell]
-        while c[-1] > 0:
-            c.append(self.border[c[-1]])
-        return c
-
-    def step(self, ell, sym):
-        best = -1
-        for m in self.chain0(ell):
-            if m < self.n and self.x[m] == sym and m > best:
-                best = m
-        return best + 1
-
-    def fires(self, ell, sym):
-        return any(m < self.n and sym < self.x[m] for m in self.chain0(ell))
-
-
-def build_contiguous_qary(x):
-    """q-ary analogue of build_contiguous: some substring drops below x."""
-    _qary_guard(x.q)
-    tracker = _QarySuffixTracker(x.digits)
-
-    def step(label, sym, j):
-        ell, fired = label
-        return tracker.step(ell, sym), fired or tracker.fires(ell, sym)
-
-    return _build_layered(x.n, x.q, (0, False), step, lambda lab: lab[1])
-
-
-def build_wraparound_qary(x):
-    """q-ary analogue of build_wraparound."""
-    _qary_guard(x.q)
-    digits = x.digits
-    n = x.n
-    st = _QarySuffixTracker(digits)
-
-    def in_suffix_lang(u):
-        if u == ():
-            return True
-        m = len(u)
-        head = u[:-1]
-        for i in range(n - m + 1):
-            if tuple(digits[i:i + m - 1]) == head and u[-1] < digits[i + m - 1]:
-                return True
-        return False
-
-    def in_pref_suffix_lang(u):
-        if u == ():
-            return any(d > 0 for d in digits)
-        m = len(u)
-        for i in range(n - m + 1):
-            if tuple(digits[i:i + m]) == u and any(
-                digits[j] > 0 for j in range(i + m, n)
-            ):
-                return True
-        return in_suffix_lang(u)
-
-    def longest_suffix_lang_prefix(u):
-        for m in range(len(u), -1, -1):
-            if in_suffix_lang(u[:m]):
-                return u[:m]
-        return ()
-
-    def pstep(state, sym):
-        mode, content = state
-        if mode == "frozen":
-            return state
-        u2 = content + (sym,)
-        if in_pref_suffix_lang(u2):
-            return ("live", u2)
-        return ("frozen", longest_suffix_lang_prefix(u2))
-
-    def accept(label):
-        ell, pstate = label
-        r = pstate[1] if pstate[0] == "frozen" else longest_suffix_lang_prefix(pstate[1])
-        for m in st.chain0(ell):
-            if m < 1 or m >= n:
-                continue
-            for k in range(m, n):
-                span = k - m
-                if (
-                    span + 1 <= len(r)
-                    and r[:span] == tuple(digits[m:k])
-                    and r[span] < digits[k]
-                ):
-                    return True
-        return False
-
-    def step(label, sym, j):
-        return st.step(label[0], sym), pstep(label[1], sym)
-
-    return _build_layered(n, x.q, (0, ("live", ())), step, accept)

@@ -8,7 +8,7 @@ from conftest import (
     brute_necklaces_below,
 )
 from necklaces import counting
-from necklaces.errors import NotADivisor, TooBig
+from necklaces.errors import InvariantViolated, NotADivisor
 from necklaces.oracle import closed_form_counts
 from necklaces.words import NkString, parse_word
 
@@ -32,8 +32,11 @@ def test_dividing_count_examples():
     assert counting.count_words_below_period_dividing(w("10"), 2) == 3
     assert counting.count_words_below_period_dividing(w("11"), 1) == 1
     assert counting.count_words_below_period_dividing(w("0000"), 2) == 0
-    with pytest.raises(NotADivisor):
-        counting.count_words_below_period_dividing(w("0110"), 3)
+    for p in (3, 0):
+        with pytest.raises(NotADivisor):
+            counting.count_words_below_period_dividing(w("0110"), p)
+        with pytest.raises(NotADivisor):
+            counting.count_words_below_period_exact(w("0110"), p)
 
 
 def test_exact_count_examples():
@@ -137,20 +140,25 @@ def test_paths_agree_on_subperiod_counts():
                 x = NkString.from_int(n, q, v)
                 for p in counting.divisors(n):
                     base = counting.count_words_below_period_dividing(x, p)
-                    for path in ("direct", "encoded"):
-                        assert (
-                            counting.count_words_below_period_dividing(x, p, path=path)
-                            == base
-                        )
+                    assert (
+                        counting.count_words_below_period_dividing(x, p, path="encoded")
+                        == base
+                    )
 
 
 def test_direct_path_guardrail():
-    with pytest.raises(TooBig):
-        counting.count_words_below_period_dividing(
-            NkString(2, 17, (1, 2)), 2, path="direct"
-        )
-    with pytest.raises(ValueError):
-        counting.count_words_below_period_dividing(w("10"), 2, path="bogus")
+    for path in ("direct", "bogus"):
+        with pytest.raises(ValueError):
+            counting.count_words_below_period_dividing(w("10"), 2, path=path)
+
+
+def test_orbit_count_invariants_raise(monkeypatch):
+    """A count not divisible by its orbit size is a bug, reported as such."""
+    monkeypatch.setattr(counting, "count_words_below_period_exact", lambda x, p, path: 1)
+    with pytest.raises(InvariantViolated):
+        counting.count_necklaces_below(w("0110"))
+    with pytest.raises(InvariantViolated):
+        counting.count_lyndon_below(w("0110"))
 
 
 def test_two_sided_count():

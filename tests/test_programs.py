@@ -4,18 +4,16 @@ from itertools import product
 import pytest
 
 from conftest import all_words, brute_orbit_below, brute_witnesses
-from necklaces.errors import LayerMismatch, TooBig
+from necklaces.errors import LayerMismatch
 from necklaces.programs import (
     BranchingProgram,
     accepts,
     build_alphabet_restriction,
     build_contiguous,
-    build_contiguous_qary,
     build_intersection,
     build_rotation_witness,
     build_union,
     build_wraparound,
-    build_wraparound_qary,
     count_accepted,
     is_total,
     prune_dead,
@@ -209,26 +207,6 @@ def test_rotation_witness_within_restriction():
         z.digits for z in all_words(n, q) if brute_orbit_below(z, x)
     }
     assert got == want
-
-
-def test_qary_direct_constructions():
-    from bisect import bisect_left
-    from necklaces.words import min_rotation
-
-    for q in (3, 4, 5):
-        for n in range(1, 5):
-            canon = sorted(min_rotation(z)[0].digits for z in all_words(n, q))
-            for xv in range(q**n):
-                x = NkString.from_int(n, q, xv)
-                bp = build_union(
-                    build_contiguous_qary(x), build_wraparound_qary(x)
-                )
-                assert count_accepted(bp) == bisect_left(canon, x.digits), (
-                    q,
-                    x.digits,
-                )
-    with pytest.raises(TooBig):
-        build_contiguous_qary(NkString(2, 17, (1, 2)))
 
 
 def test_structure_and_pruning():
