@@ -14,34 +14,37 @@ through a joint count of orbits below one threshold with all rotations
 below a ceiling.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import counting
 from .errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
 from .gf import fq_kernel_basis, frobenius, pstrip
 from .indexing import _search
-from .words import NkString, fundamental_period, max_rotation, min_rotation
+from .words import NkString, _Frozen, fundamental_period, max_rotation, min_rotation
 
 MATRIX_COLUMN_LIMIT = 2**14
 
 
-@dataclass(frozen=True)
-class BchParams:
-    ctx: object  # FqnCtx
-    d: int
+class BchParams(_Frozen):
+    """The code over the field of an FqnCtx, with designed-distance parameter d."""
 
-    def __post_init__(self):
-        if not (0 <= self.d < self.ctx.q**self.ctx.n - 1):
+    __slots__ = ("ctx", "d")
+
+    def __init__(self, ctx, d):
+        if not (0 <= d < ctx.q**ctx.n - 1):
             raise ValueError("designed-distance parameter out of range")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
-class OrbitSet:
+class OrbitSet(_Frozen):
     """An orbit of Z_{q^n-1} under multiplication by q: minimum and size."""
 
-    m: int
-    size: int
+    __slots__ = ("m", "size")
+
+    def __init__(self, m, size):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "size", size)
 
 
 def _word(params, value):

@@ -4,13 +4,16 @@ Line-oriented, deterministic output; --format json-lines emits one JSON
 object per result instead.  Exit codes: 0 success (including TOO_LARGE,
 which is a valid answer), 2 malformed input, 3 invalid advice, 4 guardrail
 exceeded.
+
+Subcommand modules are imported in their handlers so that a process pays
+only for what it runs; the import-guard test in tests/test_cli.py enforces
+this.
 """
 
 import argparse
-import json
 import sys
 
-from . import bch, counting, gf, indexing, irreducible, oracle, topheavy
+from . import counting, indexing
 from .errors import (
     BadFactorization,
     InvalidAdvice,
@@ -18,11 +21,13 @@ from .errors import (
     TooBig,
 )
 from .indexing import TOO_LARGE
-from .words import NkString, format_word, parse_word
+from .words import format_word, parse_word, rotate
 
 
 def _parse_qspec(text):
     """Field size as "p" or "p^e" with p prime."""
+    from . import gf
+
     if "^" in text:
         p_str, e_str = text.split("^", 1)
         p, e = int(p_str), int(e_str)
@@ -45,14 +50,20 @@ def _format_element(fctx, a):
 
 
 def _parse_element(fctx, text):
+    from . import gf
+
+    p = fctx.base.p
     parts = text.split(":")
     if len(parts) > fctx.n:
         raise ValueError("too many coefficients for the field element")
     coeffs = []
     for part in parts:
-        vec = tuple(int(v) % fctx.base.p for v in part.split(","))
+        vec = tuple(int(v) for v in part.split(","))
         if len(vec) > fctx.base.e:
             raise ValueError("coefficient vector longer than the extension degree")
+        for v in vec:
+            if not (0 <= v < p):
+                raise ValueError(f"coefficient {v} outside 0..{p - 1}")
         coeffs.append(gf.pstrip(fctx.base.base, vec))
     return gf.pstrip(fctx.base, tuple(coeffs))
 
@@ -68,6 +79,8 @@ class _Output:
 
     def emit(self, op, inputs, result):
         if self.mode == "json-lines":
+            import json
+
             print(json.dumps({"op": op, "inputs": inputs, "result": result}))
         else:
             if isinstance(result, list):
@@ -78,14 +91,12 @@ class _Output:
 
 
 def _load_advice(path):
+    from . import gf
+
     try:
         return gf.load_advice(path)
     except OSError as exc:
         raise InvalidAdvice(f"cannot read advice file: {exc}") from exc
-
-
-def _word_arg(text, q):
-    return parse_word(text, q)
 
 
 def _cmd_necklace(args, out):
@@ -98,7 +109,7 @@ def _cmd_necklace(args, out):
         text = "TOO_LARGE" if got is TOO_LARGE else format_word(got)
         out.emit("necklace-index", {"n": args.n, "q": args.q, "j": args.j}, text)
     else:
-        word = _word_arg(args.word, args.q)
+        word = parse_word(args.word, args.q)
         res = indexing.reverse_index_necklace(word, args.path)
         out.emit(
             "necklace-rank",
@@ -113,7 +124,7 @@ def _cmd_lyndon(args, out):
         text = "TOO_LARGE" if got is TOO_LARGE else format_word(got)
         out.emit("lyndon-index", {"n": args.n, "q": args.q, "j": args.j}, text)
     else:
-        word = _word_arg(args.word, args.q)
+        word = parse_word(args.word, args.q)
         res = indexing.reverse_index_lyndon(word, args.path)
         out.emit(
             "lyndon-rank",
@@ -123,7 +134,7 @@ def _cmd_lyndon(args, out):
 
 
 def _cmd_classes_less(args, out):
-    word = _word_arg(args.word, args.q)
+    word = parse_word(args.word, args.q)
     if args.period is None:
         result = str(counting.count_necklaces_below(word, args.path))
     else:
@@ -138,6 +149,8 @@ def _cmd_classes_less(args, out):
 
 
 def _cmd_irred(args, out):
+    from . import gf, irreducible
+
     p, e = _parse_qspec(args.qspec)
     q = p**e
     if args.action == "count":
@@ -170,6 +183,8 @@ def _cmd_irred(args, out):
 
 
 def _cmd_bch(args, out):
+    from . import bch
+
     fctx = _load_advice(args.advice)
     params = bch.BchParams(fctx, args.d)
     inputs = {"q": fctx.q, "n": fctx.n, "d": args.d}
@@ -211,18 +226,18 @@ def _cmd_bch(args, out):
 
 
 def _cmd_topheavy(args, out):
+    from . import topheavy
+
     if args.action == "check":
-        word = _word_arg(args.word, 2)
+        word = parse_word(args.word, 2)
         out.emit(
             "topheavy-check",
             {"word": args.word},
             "true" if topheavy.is_top_heavy(word) else "false",
         )
     elif args.action == "canon":
-        word = _word_arg(args.word, 2)
+        word = parse_word(args.word, 2)
         shift = topheavy.top_heavy_rotation(word)
-        from .words import rotate
-
         out.emit(
             "topheavy-canon",
             {"word": args.word},
@@ -233,6 +248,8 @@ def _cmd_topheavy(args, out):
 
 
 def _cmd_selftest(args, out):
+    from . import oracle
+
     ok, lines = oracle.selftest(max_n_binary=args.max_n)
     if out.mode == "json-lines":
         out.emit("selftest", {"max_n": args.max_n}, {"ok": ok, "checks": lines})

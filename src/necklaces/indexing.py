@@ -7,11 +7,9 @@ representative; ranking counts the orbits below the canonical rotation.
 Ranks are 1-based.
 """
 
-from dataclasses import dataclass
-
 from . import counting
 from .errors import NotAperiodic
-from .words import NkString, fundamental_period, min_rotation
+from .words import NkString, _Frozen, fundamental_period, min_rotation
 
 
 class _TooLargeType:
@@ -34,10 +32,12 @@ class _TooLargeType:
 TOO_LARGE = _TooLargeType()
 
 
-@dataclass(frozen=True)
-class RankResult:
-    rank: int
-    canonical: NkString
+class RankResult(_Frozen):
+    __slots__ = ("rank", "canonical")
+
+    def __init__(self, rank, canonical):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "canonical", canonical)
 
 
 class ProbeCounter:

@@ -8,31 +8,62 @@ arbitrary-precision integer; nothing here assumes symbols fit a machine word.
 All functions are pure; values are immutable and safe to share across threads.
 """
 
-from dataclasses import dataclass
-
 from .errors import InvalidBlock
 
 
-@dataclass(frozen=True)
-class NkString:
+class _Frozen:
+    """Immutable value whose equality, hash and repr run over the fields in __slots__.
+
+    Subclasses set their fields in __init__ with object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class NkString(_Frozen):
     """A length-n word over {0, ..., q-1}, leftmost symbol first."""
 
-    n: int
-    q: int
-    digits: tuple
+    __slots__ = ("n", "q", "digits")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, q, digits):
+        if n < 1:
             raise ValueError("word length must be positive")
-        if self.q < 2:
+        if q < 2:
             raise ValueError("alphabet size must be at least 2")
-        if not isinstance(self.digits, tuple):
-            object.__setattr__(self, "digits", tuple(self.digits))
-        if len(self.digits) != self.n:
+        if not isinstance(digits, tuple):
+            digits = tuple(digits)
+        if len(digits) != n:
             raise ValueError("digit count does not match stated length")
-        for d in self.digits:
-            if not (0 <= d < self.q):
-                raise ValueError(f"digit {d} outside alphabet of size {self.q}")
+        for d in digits:
+            if not (0 <= d < q):
+                raise ValueError(f"digit {d} outside alphabet of size {q}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "digits", digits)
 
     @classmethod
     def from_int(cls, n, q, value):
@@ -52,23 +83,23 @@ class NkString:
         return v
 
 
-@dataclass(frozen=True)
-class BinWord:
+class BinWord(_Frozen):
     """A bit string carved into fixed-width blocks (block=1 for plain binary)."""
 
-    bits: tuple
-    block: int = 1
+    __slots__ = ("bits", "block")
 
-    def __post_init__(self):
-        if self.block < 1:
+    def __init__(self, bits, block=1):
+        if block < 1:
             raise ValueError("block width must be positive")
-        if not isinstance(self.bits, tuple):
-            object.__setattr__(self, "bits", tuple(self.bits))
-        if len(self.bits) % self.block != 0:
+        if not isinstance(bits, tuple):
+            bits = tuple(bits)
+        if len(bits) % block != 0:
             raise ValueError("bit length must be a multiple of the block width")
-        for b in self.bits:
+        for b in bits:
             if b not in (0, 1):
                 raise ValueError("bits must be 0 or 1")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "block", block)
 
 
 def bits_for(q):
