@@ -16,10 +16,9 @@ below a ceiling.
 
 from functools import lru_cache
 
-from . import counting
+from . import counting, indexing
 from .errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
 from .gf import fq_kernel_basis, frobenius, pstrip
-from .indexing import _search
 from .words import NkString, _Frozen, fundamental_period, max_rotation, min_rotation
 
 MATRIX_COLUMN_LIMIT = 2**14
@@ -89,14 +88,15 @@ def generator_row(params, r):
     n, q = ctx.n, ctx.q
     if r < 1:
         raise ValueError("rows are 1-based")
-    if r > generator_row_count(params):
-        raise TooBig(f"row {r} beyond {generator_row_count(params)} generator rows")
+    total = generator_row_count(params)
+    if r > total:
+        raise TooBig(f"row {r} beyond {total} generator rows")
     ceiling = _word(params, params.d)
 
     def cum(word):
         return _cumulative_rows(n, q, word.digits, ceiling.digits)
 
-    rep = _search(n, q, r, cum)
+    rep = indexing._search(n, q, r, cum, total)
     if min_rotation(rep)[0].digits != rep.digits:
         raise InvariantViolated("generator row search ended off a minimal rotation")
     if max_rotation(rep)[0].digits > ceiling.digits:
@@ -134,15 +134,14 @@ def subfield_basis(ctx, ell):
     return list(basis)
 
 
-def generator_entry(params, r, alpha):
-    """Evaluation of the r-th basis polynomial at column alpha; lies in F_q.
+def generator_value(ctx, row, alpha):
+    """Entry of the generator row (orbit, j) at column alpha; lies in F_q.
 
     With orbit minimum m and basis element beta of the row, the entry is
     sum_k beta^(q^k) alpha^(m q^k) = sum_k Frob^k(gamma), gamma = beta alpha^m,
     over k < |orbit|; alpha^0 = 1 even for alpha = 0.
     """
-    ctx = params.ctx
-    orbit, j = generator_row(params, r)
+    orbit, j = row
     beta = subfield_basis(ctx, orbit.size)[j - 1]
     if orbit.m == 0:
         gamma = beta
@@ -159,6 +158,11 @@ def generator_entry(params, r, alpha):
     return total[0] if total else ctx.base.zero
 
 
+def generator_entry(params, r, alpha):
+    """Evaluation of the r-th basis polynomial at column alpha; lies in F_q."""
+    return generator_value(params.ctx, generator_row(params, r), alpha)
+
+
 # ---------------------------------------------------------------------------
 # parity side
 
@@ -170,25 +174,32 @@ def parity_row_count(params):
 
 
 def parity_row(params, r):
-    """The r-th orbit with minimum at most d, in minimal-representative order."""
+    """The r-th orbit with minimum at most d, in minimal-representative order.
+
+    Those orbits come first in that order, so row r is the r-th necklace.
+    """
     ctx = params.ctx
-    n, q = ctx.n, ctx.q
     if r < 1:
         raise ValueError("rows are 1-based")
-    if r > parity_row_count(params):
-        raise TooBig(f"row {r} beyond {parity_row_count(params)} parity rows")
-    rep = _search(n, q, r, counting.count_necklaces_below)
+    total = parity_row_count(params)
+    if r > total:
+        raise TooBig(f"row {r} beyond {total} parity rows")
+    rep = indexing.index_necklace(ctx.n, ctx.q, r)
     if min_rotation(rep)[0].digits != rep.digits:
         raise InvariantViolated("parity row search ended off a minimal rotation")
     return _orbit_from_word(rep)
+
+
+def parity_value(ctx, orbit, alpha):
+    """Entry of the parity row `orbit` at the nonzero column alpha: alpha^m."""
+    return ctx.pow(alpha, orbit.m)
 
 
 def parity_entry(params, r, alpha):
     """alpha raised to the row orbit's minimum; alpha must be nonzero."""
     if params.ctx.is_zero(alpha):
         raise ZeroColumn("parity columns are indexed by nonzero field elements")
-    orbit = parity_row(params, r)
-    return params.ctx.pow(alpha, orbit.m)
+    return parity_value(params.ctx, parity_row(params, r), alpha)
 
 
 # ---------------------------------------------------------------------------

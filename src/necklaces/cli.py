@@ -211,17 +211,17 @@ def _cmd_bch(args, out):
         lines = []
         cols = [bch.column_element(fctx, c) for c in range(columns)]
         for r in range(1, bch.generator_row_count(params) + 1):
-            lines.append(
-                " ".join(_format_fq(fctx, bch.generator_entry(params, r, a)) for a in cols)
-            )
+            row = bch.generator_row(params, r)
+            lines.append(" ".join(_format_fq(fctx, bch.generator_value(fctx, row, a))
+                                  for a in cols))
         out.emit("bch-gen-matrix", inputs, lines)
         return
     lines = []
     cols = [bch.nonzero_column_element(fctx, c) for c in range(columns - 1)]
     for r in range(1, bch.parity_row_count(params) + 1):
-        lines.append(
-            " ".join(_format_element(fctx, bch.parity_entry(params, r, a)) for a in cols)
-        )
+        orbit = bch.parity_row(params, r)
+        lines.append(" ".join(_format_element(fctx, bch.parity_value(fctx, orbit, a))
+                              for a in cols))
     out.emit("bch-pc-matrix", inputs, lines)
 
 

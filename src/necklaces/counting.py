@@ -64,6 +64,27 @@ def mobius(m):
     return mu
 
 
+def orbits_in_closed_form(n, k, lyndon=False):
+    """Orbits of length-n words over k letters by the Witt/Mobius formula.
+
+    Lyndon words: L(n, k) = (1/n) sum_{e | n} mu(e) k^(n/e); necklaces:
+    N(n, k) = sum_{d | n} L(d, k).
+    """
+    if lyndon:
+        return sum(mobius(e) * k ** (n // e) for e in divisors(n)) // n
+    return sum(orbits_in_closed_form(d, k, True) for d in divisors(n))
+
+
+def orbits_below_digit(n, q, d, lyndon=False):
+    """Orbits below the word (d, 0, ..., 0), for 0 <= d <= q, in closed form.
+
+    An orbit's least member starts with its smallest digit, so the orbits
+    not below (d, 0, ..., 0) are exactly those over the q - d letters
+    {d, ..., q-1}.  At d = q this is the total number of orbits.
+    """
+    return orbits_in_closed_form(n, q, lyndon) - orbits_in_closed_form(n, q - d, lyndon)
+
+
 def _resolve_path(path):
     if path not in PATHS:
         raise ValueError(f"unknown path {path!r}; expected one of {PATHS}")

@@ -1,0 +1,137 @@
+"""The interpolation search behind every unrank: probe budget, answers, closed forms.
+
+Every search is checked against a plain bisection written here, and its
+probes against the budget n * ceil(log2 q) + 2.  The closed form that pins
+the first digit is checked against the engine and against the oracle.
+"""
+
+import math
+import random
+
+import pytest
+
+from necklaces import bch, counting, gf, indexing
+from necklaces.errors import InvariantViolated
+from necklaces.oracle import closed_form_counts
+from necklaces.words import NkString
+
+
+def bisect(n, q, j, below):
+    """Largest word x with below(x) < j, by plain binary search."""
+    lo, hi = 0, q**n - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if below(NkString.from_int(n, q, mid)) < j:
+            lo = mid
+        else:
+            hi = mid - 1
+    return NkString.from_int(n, q, lo)
+
+
+def budget(n, q):
+    return n * math.ceil(math.log2(q)) + 2
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Runs every indexing._search through a wrapper that counts its probes.
+
+    Yields the list of (n, q, j, below, answer, probes), one per search.
+    """
+    seen = []
+    search = indexing._search
+
+    def counted(n, q, j, below, *args):
+        probes = 0
+
+        def probe(x):
+            nonlocal probes
+            probes += 1
+            return below(x)
+
+        got = search(n, q, j, probe, *args)
+        seen.append((n, q, j, below, got, probes))
+        return got
+
+    monkeypatch.setattr(indexing, "_search", counted)
+    return seen
+
+
+def check(searches):
+    for n, q, j, below, got, probes in searches:
+        assert probes <= budget(n, q), (n, q, j, probes)
+        assert got == bisect(n, q, j, below), (n, q, j)
+    searches.clear()
+
+
+UNRANK = {"necklace": (indexing.index_necklace, counting.count_necklaces),
+          "lyndon": (indexing.index_lyndon, counting.count_lyndon)}
+
+
+@pytest.mark.parametrize("kind", sorted(UNRANK))
+@pytest.mark.parametrize("n, q", [(1, 7), (8, 2), (10, 2), (4, 3), (3, 4), (5, 5), (3, 16),
+                                  (2, 97)])
+def test_every_rank_within_budget(searches, kind, n, q):
+    unrank, count = UNRANK[kind]
+    for j in range(1, count(n, q) + 1):
+        unrank(n, q, j)
+        check(searches)
+
+
+@pytest.mark.parametrize("kind", sorted(UNRANK))
+@pytest.mark.parametrize("n, q, draws", [(32, 2, 6), (10, 2**26, 4), (16, 2**64, 1)],
+                         ids=["n32-q2", "n10-q2^26", "n16-q2^64"])
+def test_seeded_ranks_within_budget(searches, kind, n, q, draws):
+    unrank, count = UNRANK[kind]
+    rng = random.Random(n * 7919 + q)
+    total = count(n, q)
+    for j in [1, total] + [rng.randint(1, total) for _ in range(draws)]:
+        unrank(n, q, j)
+        check(searches)
+
+
+def test_bch_row_searches_within_budget(searches):
+    base = gf.default_fq_ctx(2)
+    ctx = gf.FqnCtx(base, 5, ((1,), (), (1,), (), (), (1,)), primitive=True)  # T^5+T^2+1
+    for d in (1, 6, 13, 22, 30):
+        params = bch.BchParams(ctx, d)
+        for r in range(1, bch.generator_row_count(params) + 1):
+            bch.generator_row(params, r)
+        for r in range(1, bch.parity_row_count(params) + 1):
+            bch.parity_row(params, r)
+        assert len(searches) == bch.generator_row_count(params) + bch.parity_row_count(params)
+        check(searches)
+
+
+def test_head_must_match_the_counted_total(monkeypatch):
+    def off_by_one(n, q, d, lyndon=False):
+        return counting.orbits_in_closed_form(n, q, lyndon) + 1
+
+    monkeypatch.setattr(counting, "orbits_below_digit", off_by_one)
+    with pytest.raises(InvariantViolated):
+        indexing.index_necklace(6, 2, 3)
+    with pytest.raises(InvariantViolated):
+        indexing.index_lyndon(6, 2, 3)
+
+
+def _head_word(n, q, d):
+    return NkString(n, q, (d,) + (0,) * (n - 1))
+
+
+@pytest.mark.parametrize("n, q", [(1, 5), (6, 2), (4, 3), (3, 4), (10, 2**26),
+                                  (6, 10**12 + 39)])
+def test_closed_form_first_digit(n, q):
+    if q <= 5:
+        digits = range(q)
+    else:
+        rng = random.Random(q)
+        digits = [0, 1, q // 2, q - 1] + [rng.randrange(q) for _ in range(4)]
+    for d in digits:
+        word = _head_word(n, q, d)
+        assert counting.orbits_below_digit(n, q, d) == counting.count_necklaces_below(word)
+        assert (counting.orbits_below_digit(n, q, d, lyndon=True)
+                == counting.count_lyndon_below(word))
+    necklaces, lyndon = closed_form_counts(n, q)
+    assert counting.orbits_below_digit(n, q, q) == counting.count_necklaces(n, q) == necklaces
+    top = counting.orbits_below_digit(n, q, q, lyndon=True)
+    assert top == counting.count_lyndon(n, q) == lyndon
