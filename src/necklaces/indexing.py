@@ -6,13 +6,25 @@ fewer than j orbits strictly below it, which is exactly the j-th minimal
 representative.  The first digit comes from a closed form; the rest is an
 interpolation search on the orbit count, which is smooth at the scale of
 the whole interval, safeguarded so that it never takes more than two probes
-beyond bisection.  Ranking counts the orbits below the canonical rotation.
-Ranks are 1-based.
+beyond bisection.  Each probe is rounded, within the search's slack, to the
+word with the longest run of trailing zeros, which the engine counts below
+fastest.  Once at most n orbits remain in the bracket the search stops
+counting and steps through them with the FKM successor (Ruskey, Savage and
+Wang, J. Algorithms 1992); n successor steps cost about as much as one
+count.  Ranking counts the orbits below the canonical rotation.  Ranks are
+1-based.
 """
 
 from . import counting
 from .errors import InvariantViolated, NotAperiodic
-from .words import NkString, _Frozen, fundamental_period, min_rotation
+from .words import (
+    NkString,
+    _Frozen,
+    fundamental_period,
+    min_rotation,
+    next_prenecklace,
+    prenecklace_at_least,
+)
 
 
 class _TooLargeType:
@@ -53,21 +65,70 @@ class ProbeCounter:
         self.count += 1
 
 
-def _search(n, q, j, below, total, head=None, probe_counter=None):
+def _coarsest(a, b, x, q):
+    """The multiple of the largest power of q in [a, b] nearest x (a <= x <= b).
+
+    Ties go to the lower multiple.
+    """
+    step = 1
+    while b // (step * q) * (step * q) >= a:
+        step *= q
+    down = x - x % step
+    up = down + step
+    if down >= a and (up > b or x - down <= up - x):
+        return down
+    return up
+
+
+def _walk(n, q, lo, hi, target, weight):
+    """The necklace in [lo, hi) at which the weights summed from lo reach target.
+
+    Steps through the prenecklaces from the least one >= lo with the FKM
+    successor and sums weight(digits, period) over the necklaces among them
+    (period | n).  Raises InvariantViolated if the sum has not reached target
+    below hi, or the walk runs past the last prenecklace.
+    """
+    a, p = prenecklace_at_least(NkString.from_int(n, q, lo).digits)
+    last = list(NkString.from_int(n, q, hi - 1).digits)
+    while a <= last:
+        if n % p == 0:
+            target -= weight(a, p)
+            if target <= 0:
+                return NkString(n, q, tuple(a))
+        p = next_prenecklace(a, q)
+        if not p:
+            raise InvariantViolated("necklace walk ran past the last prenecklace")
+    raise InvariantViolated("necklace walk left the bracket; the counts disagree")
+
+
+def _search(n, q, j, below, total, head=None, weight=None, probe_counter=None):
     """Largest word x with below(x) < j, by a safeguarded interpolation search.
 
     The contract: `below` is nondecreasing in the word, below(0^n) = 0,
     `total` is below at the virtual word q^n past the last one, and
     1 <= j <= total.  `head`, if given, is the closed form
     d -> below((d, 0, ..., 0)) for 0 <= d <= q; it pins the first digit
-    without a probe, and head(q) must equal total.
+    without a probe, and head(q) must equal total.  `weight`, if given,
+    says that below(x) is the sum of weight(digits, period) over the
+    necklaces strictly below x, each given as its digit list and the period
+    of its least rotation; the search then finishes by walking (see below).
+    `bch.generator_row` passes none: necklaces whose orbit leaves its ceiling
+    weigh 0 there, so a walk over them would have no bound in n.
 
     The answer lies in [lo, hi) with below(lo) < j <= below(hi).  Each probe
-    is an Illinois-weighted false-position point aimed at j - 1/2 (ITP:
-    Oliveira & Takahashi, ACM TOMS 2020), truncated toward the midpoint and
-    projected so that the bracket after probe k is at most 2^(budget-k-1)
-    wide, with budget = n * ceil(log2 q) + 2.  So no input takes more than
-    `budget` probes: bisection's worst case plus two.
+    starts from an Illinois-weighted false-position point aimed at j - 1/2
+    (ITP: Oliveira & Takahashi, ACM TOMS 2020), truncated by
+    delta = width^2 / spread toward the midpoint and clamped into the
+    projection window, which keeps the bracket after probe k at most
+    2^(budget-k-1) wide, with budget = n * ceil(log2 q) + 2.  The probe is
+    then the multiple of the largest power of q within delta of that point
+    and inside the window, nearest to it: a word ending in a long run of
+    zeros is cheap to count below.  It never leaves the window, so no input
+    takes more than `budget` probes: bisection's worst case plus two.
+
+    With a weight, the search stops probing once below_hi - below_lo <= n
+    and walks from lo to the necklace at which the weights reach
+    j - below_lo; n successor steps cost about as much as one count.
     """
     budget = n * (q - 1).bit_length() + 2
     lo, hi, below_lo, below_hi = 0, q**n, 0, total
@@ -88,8 +149,11 @@ def _search(n, q, j, below, total, head=None, probe_counter=None):
     spread = q * (hi - lo)
     probes = last = run = 0
     while hi - lo > 1:
+        if weight is not None and below_hi - below_lo <= n:
+            return _walk(n, q, lo, hi, j - below_lo, weight)
         width = hi - lo
         reach = 1 << (budget - probes - 1)
+        low, high = max(lo + 1, hi - reach), min(hi - 1, lo + reach)
         mid = lo + width // 2
         # Twice the distances of the ends' counts from the target j - 1/2.
         short, over = 2 * (j - below_lo) - 1, 2 * (below_hi - j) + 1
@@ -104,7 +168,8 @@ def _search(n, q, j, below, total, head=None, probe_counter=None):
             x = mid
         else:
             x += delta if x < mid else -delta
-        x = max(lo + 1, hi - reach, min(x, hi - 1, lo + reach))
+        x = max(low, min(x, high))
+        x = _coarsest(max(low, x - delta), min(high, x + delta), x, q)
         if probe_counter is not None:
             probe_counter.bump()
         probes += 1
@@ -127,7 +192,8 @@ def index_necklace(n, q, j, path="auto", probe_counter=None):
     if j > total:
         return TOO_LARGE
     return _search(n, q, j, lambda x: counting.count_necklaces_below(x, path), total,
-                   lambda d: counting.orbits_below_digit(n, q, d), probe_counter)
+                   lambda d: counting.orbits_below_digit(n, q, d), lambda a, p: 1,
+                   probe_counter)
 
 
 def reverse_index_necklace(x, path="auto"):
@@ -145,7 +211,8 @@ def index_lyndon(n, q, j, path="auto", probe_counter=None):
     if j > total:
         return TOO_LARGE
     return _search(n, q, j, lambda x: counting.count_lyndon_below(x, path), total,
-                   lambda d: counting.orbits_below_digit(n, q, d, lyndon=True), probe_counter)
+                   lambda d: counting.orbits_below_digit(n, q, d, lyndon=True),
+                   lambda a, p: p == n, probe_counter)
 
 
 def reverse_index_lyndon(x, path="auto"):

@@ -5,7 +5,8 @@ Python ints, most significant (leftmost) digit first, so that fixed-length
 lexicographic order coincides with base-q integer order.  q may be an
 arbitrary-precision integer; nothing here assumes symbols fit a machine word.
 
-All functions are pure; values are immutable and safe to share across threads.
+Values are immutable and safe to share across threads.  Every function is
+pure except next_prenecklace, which advances a caller's digit list in place.
 """
 
 from .errors import InvalidBlock
@@ -174,6 +175,47 @@ def min_rotation(x):
     period = fundamental_period(x)
     shift = (x.n - start) % period
     return rotate(x, shift), shift
+
+
+def prenecklace_at_least(digits):
+    """Smallest prenecklace >= digits, as a digit list, with its period.
+
+    A prenecklace is a prefix of some necklace; its period is the length of
+    its longest Lyndon prefix.  One FKM scan keeps the period p of the prefix
+    read so far: a digit above a[i-p] makes the prefix
+    Lyndon (p = i+1), an equal one keeps p, and the first digit below a[i-p]
+    is where every word sharing the prefix stops being a prenecklace; raising
+    it to a[i-p] and extending with period p gives the least one above.
+    """
+    a = list(digits)
+    p = 1
+    for i in range(1, len(a)):
+        if a[i] > a[i - p]:
+            p = i + 1
+        elif a[i] < a[i - p]:
+            for k in range(i, len(a)):
+                a[k] = a[k - p]
+            break
+    return a, p
+
+
+def next_prenecklace(a, q):
+    """Advance the prenecklace a in place to the next one (FKM); return its period.
+
+    Raises the last digit below q-1 at position i and extends with period
+    i+1, which is the new prenecklace's period.  The prenecklace is a necklace iff
+    its period divides len(a).  Returns 0, leaving a unchanged, past the
+    last prenecklace (q-1)^n.
+    """
+    i = len(a) - 1
+    while i >= 0 and a[i] == q - 1:
+        i -= 1
+    if i < 0:
+        return 0
+    a[i] += 1
+    for k in range(i + 1, len(a)):
+        a[k] = a[k - i - 1]
+    return i + 1
 
 
 def complement(x):

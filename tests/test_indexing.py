@@ -4,7 +4,7 @@ import random
 import pytest
 
 from necklaces import counting, indexing
-from necklaces.errors import NotAperiodic
+from necklaces.errors import InvariantViolated, NotAperiodic
 from necklaces.indexing import TOO_LARGE, ProbeCounter
 from necklaces.oracle import brute_orbits
 from necklaces.words import NkString, fundamental_period, min_rotation, parse_word
@@ -119,6 +119,71 @@ def _next_necklace(digits, q):
             a[j] = a[j - i - 1]
         if n % (i + 1) == 0:
             return tuple(a)
+
+
+def _valuation(y, q):
+    k = 0
+    while y % q == 0:
+        y //= q
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("q", [2, 3, 10])
+def test_coarsest_probe_against_brute_force(q):
+    for a in range(1, 30):
+        for b in range(a, 50):
+            top = max(_valuation(y, q) for y in range(a, b + 1))
+            coarse = [y for y in range(a, b + 1) if _valuation(y, q) == top]
+            for x in range(a, b + 1):
+                want = min(coarse, key=lambda y: (abs(y - x), y))
+                assert indexing._coarsest(a, b, x, q) == want, (a, b, x)
+
+
+@pytest.mark.parametrize("n, q", [(6, 2), (8, 2), (4, 3), (3, 4), (3, 5)])
+def test_walk_reaches_every_rank_from_the_bottom(n, q):
+    orbits = brute_orbits(n, q)
+    weights = {"necklace": lambda a, p: 1, "lyndon": lambda a, p: p == n}
+    reps = {"necklace": [rep for rep, _ in orbits],
+            "lyndon": [rep for rep, size in orbits if size == n]}
+    for kind, weight in weights.items():
+        for j, rep in enumerate(reps[kind], start=1):
+            assert indexing._walk(n, q, 0, q**n, j, weight) == rep, (kind, j)
+
+
+def test_walk_raises_on_an_off_by_one_count(monkeypatch):
+    """An undercounting `below` sends the walk past hi, which raises."""
+    n, q = 8, 2
+    total = counting.count_necklaces(n, q)
+    true_below = counting.count_necklaces_below
+    monkeypatch.setattr(counting, "count_necklaces", lambda n, q, path="auto": total)
+    monkeypatch.setattr(counting, "count_necklaces_below",
+                        lambda x, path="auto": max(0, true_below(x, path) - 1))
+    # The last necklace with first digit 0: the bracket's top is the closed
+    # form's, so no probe can lower it to meet the undercount.
+    j = counting.orbits_below_digit(n, q, 1)
+    with pytest.raises(InvariantViolated):
+        indexing.index_necklace(n, q, j)
+    # Weights that never reach the target run off the last prenecklace.
+    with pytest.raises(InvariantViolated):
+        indexing._walk(n, q, 0, q**n, 1, lambda a, p: 0)
+
+
+@pytest.mark.parametrize("kind, n, draws", [("necklace", 32, 150), ("lyndon", 64, 40)])
+def test_seeded_ranks_within_bisection(kind, n, draws):
+    """Seeded binary unranks take no more probes than plain bisection's n.
+
+    Binary orbit counts pile up at the low end of the interval, where plain
+    false position spends the search's two probes of slack.
+    """
+    unrank = indexing.index_necklace if kind == "necklace" else indexing.index_lyndon
+    total = (counting.count_necklaces if kind == "necklace" else counting.count_lyndon)(n, 2)
+    rng = random.Random(21)
+    for _ in range(draws):
+        j = rng.randint(1, total)
+        counter = ProbeCounter()
+        unrank(n, 2, j, probe_counter=counter)
+        assert counter.count <= n, (j, counter.count)
 
 
 @pytest.mark.parametrize("n", [24, 40, 64], ids=["n24", "n40", "n64"])

@@ -1,9 +1,11 @@
+import bisect
 import random
 
 import pytest
 
 from conftest import all_words, brute_min_rotation
 from necklaces.errors import InvalidBlock
+from necklaces.oracle import brute_orbits
 from necklaces.words import (
     BinWord,
     NkString,
@@ -18,8 +20,10 @@ from necklaces.words import (
     is_witness_prefix,
     max_rotation,
     min_rotation,
+    next_prenecklace,
     orbit_below,
     parse_word,
+    prenecklace_at_least,
     rotate,
 )
 
@@ -225,3 +229,40 @@ def test_borders_match_brute_force():
         s = tuple(rng.randrange(rng.choice((2, 3, 2**40))) for _ in range(rng.randint(1, 14)))
         want = [0] + [max(k for k in range(i) if s[:k] == s[i - k:i]) for i in range(1, len(s) + 1)]
         assert borders(s) == want, s
+
+
+FKM_SIZES = [(6, 2), (8, 2), (4, 3), (3, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("n, q", FKM_SIZES)
+def test_prenecklace_at_least_matches_brute_force(n, q):
+    # A prenecklace is a prefix of a necklace; one with period p is a prefix
+    # of its periodic extension to length p*ceil(n/p) < 2n, so the prefixes
+    # of the necklaces of lengths n..2n-1 are all of them.
+    # Its period is the length of its longest Lyndon prefix.
+    pre = sorted({rep.digits[:n] for m in range(n, 2 * n) for rep, _ in brute_orbits(m, q)})
+    for word in all_words(n, q):
+        least = pre[bisect.bisect_left(pre, word.digits)]
+        a, period = prenecklace_at_least(word.digits)
+        assert tuple(a) == least, word
+        assert period == max(p for p in range(1, n + 1) if _is_lyndon(least[:p])), word
+
+
+def _is_lyndon(s):
+    return all(s < s[i:] + s[:i] for i in range(1, len(s)))
+
+
+@pytest.mark.parametrize("n, q", FKM_SIZES)
+def test_next_prenecklace_lists_every_orbit_in_order(n, q):
+    orbits = brute_orbits(n, q)
+    a, p = prenecklace_at_least((0,) * n)
+    necklaces, lyndon = [], []
+    while p:
+        if n % p == 0:
+            necklaces.append(tuple(a))
+            if p == n:
+                lyndon.append(tuple(a))
+        p = next_prenecklace(a, q)
+    assert a == [q - 1] * n
+    assert necklaces == [rep.digits for rep, _ in orbits]
+    assert lyndon == [rep.digits for rep, size in orbits if size == n]
