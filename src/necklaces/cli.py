@@ -40,13 +40,10 @@ def _parse_qspec(text):
 
 def _format_element(fctx, a):
     """F_{q^n} element: n base-q coefficients (':'-joined), each an F_p vector."""
-    e = fctx.base.e
-    out = []
-    for i in range(fctx.n):
-        coeff = a[i] if i < len(a) else fctx.base.zero
-        vec = list(coeff) + [0] * (e - len(coeff))
-        out.append(",".join(str(c) for c in vec))
-    return ":".join(out)
+    from . import gf
+
+    base = fctx.base
+    return ":".join(gf.format_fq(base, a[i] if i < len(a) else base.zero) for i in range(fctx.n))
 
 
 def _parse_element(fctx, text):
@@ -68,11 +65,6 @@ def _parse_element(fctx, text):
     return gf.pstrip(fctx.base, tuple(coeffs))
 
 
-def _format_fq(fctx, a):
-    vec = list(a) + [0] * (fctx.base.e - len(a))
-    return ",".join(str(c) for c in vec)
-
-
 class _Output:
     def __init__(self, mode):
         self.mode = mode
@@ -90,27 +82,27 @@ class _Output:
                 print(result)
 
 
-def _load_advice(path):
+def _load_advice(filename):
     from . import gf
 
     try:
-        return gf.load_advice(path)
+        return gf.load_advice(filename)
     except OSError as exc:
         raise InvalidAdvice(f"cannot read advice file: {exc}") from exc
 
 
 def _cmd_necklace(args, out):
     if args.action == "count":
-        t = counting.count_necklaces(args.n, args.q, args.path)
-        a = counting.count_lyndon(args.n, args.q, args.path)
+        t = counting.count_necklaces(args.n, args.q)
+        a = counting.count_lyndon(args.n, args.q)
         out.emit("necklace-count", {"n": args.n, "q": args.q}, f"{t} {a}")
     elif args.action == "index":
-        got = indexing.index_necklace(args.n, args.q, args.j, args.path)
+        got = indexing.index_necklace(args.n, args.q, args.j)
         text = "TOO_LARGE" if got is TOO_LARGE else format_word(got)
         out.emit("necklace-index", {"n": args.n, "q": args.q, "j": args.j}, text)
     else:
         word = parse_word(args.word, args.q)
-        res = indexing.reverse_index_necklace(word, args.path)
+        res = indexing.reverse_index_necklace(word)
         out.emit(
             "necklace-rank",
             {"word": args.word, "q": args.q},
@@ -120,12 +112,12 @@ def _cmd_necklace(args, out):
 
 def _cmd_lyndon(args, out):
     if args.action == "index":
-        got = indexing.index_lyndon(args.n, args.q, args.j, args.path)
+        got = indexing.index_lyndon(args.n, args.q, args.j)
         text = "TOO_LARGE" if got is TOO_LARGE else format_word(got)
         out.emit("lyndon-index", {"n": args.n, "q": args.q, "j": args.j}, text)
     else:
         word = parse_word(args.word, args.q)
-        res = indexing.reverse_index_lyndon(word, args.path)
+        res = indexing.reverse_index_lyndon(word)
         out.emit(
             "lyndon-rank",
             {"word": args.word, "q": args.q},
@@ -136,10 +128,10 @@ def _cmd_lyndon(args, out):
 def _cmd_classes_less(args, out):
     word = parse_word(args.word, args.q)
     if args.period is None:
-        result = str(counting.count_necklaces_below(word, args.path))
+        result = str(counting.count_necklaces_below(word))
     else:
-        exact = counting.count_words_below_period_exact(word, args.period, args.path)
-        leq = counting.count_words_below_period_dividing(word, args.period, args.path)
+        exact = counting.count_words_below_period_exact(word, args.period)
+        leq = counting.count_words_below_period_dividing(word, args.period)
         result = f"{exact} {leq}"
     out.emit(
         "classes-less",
@@ -161,8 +153,10 @@ def _cmd_irred(args, out):
         )
         return
     if args.action == "gen-advice":
-        base = gf.default_fq_ctx(q)
         order = q**args.n - 1
+        if not args.factors and order > gf._AUTO_FACTOR_LIMIT:
+            raise TooBig("q^n - 1 is too large to factor here; supply it with --factors")
+        base = gf.default_fq_ctx(q)
         factors = args.factors if args.factors else gf.factorize(order)
         fctx = gf.find_primitive_polynomial(base, args.n, factors, args.seed)
         text = gf.format_advice(fctx, factors=factors)
@@ -183,7 +177,7 @@ def _cmd_irred(args, out):
 
 
 def _cmd_bch(args, out):
-    from . import bch
+    from . import bch, gf
 
     fctx = _load_advice(args.advice)
     params = bch.BchParams(fctx, args.d)
@@ -196,7 +190,7 @@ def _cmd_bch(args, out):
         alpha = _parse_element(fctx, args.col)
         value = bch.generator_entry(params, args.row, alpha)
         out.emit("bch-gen-entry", {**inputs, "row": args.row, "col": args.col},
-                 _format_fq(fctx, value))
+                 gf.format_fq(fctx.base, value))
         return
     if args.action == "pc-entry":
         alpha = _parse_element(fctx, args.col)
@@ -212,7 +206,7 @@ def _cmd_bch(args, out):
         cols = [bch.column_element(fctx, c) for c in range(columns)]
         for r in range(1, bch.generator_row_count(params) + 1):
             row = bch.generator_row(params, r)
-            lines.append(" ".join(_format_fq(fctx, bch.generator_value(fctx, row, a))
+            lines.append(" ".join(gf.format_fq(fctx.base, bch.generator_value(fctx, row, a))
                                   for a in cols))
         out.emit("bch-gen-matrix", inputs, lines)
         return
@@ -265,13 +259,6 @@ def build_parser():
         prog="necklaces",
         description="Rank/unrank necklaces and Lyndon words; index irreducible "
         "polynomials; compute BCH matrix entries.",
-    )
-    parser.add_argument(
-        "--path",
-        choices=counting.PATHS,
-        default="auto",
-        help="counting path: auto (the arithmetic engine, default) or encoded "
-        "(the paper's binary-encoded branching programs, kept as a cross-check)",
     )
     parser.add_argument(
         "--format",

@@ -11,24 +11,22 @@ The quantities: for a threshold word x of length n and a divisor p of n,
   * count_lyndon_below(x): orbits of full size n below x.
 
 For p = n the dividing count is the accepted-word count of the rotation
-automaton; for p < n a word with orbit size dividing p is a repetition of a
-length-p block, and the count reduces to a length-p instance plus an easily
-decided correction of one extra orbit.
+automaton, which `engine.count_below` evaluates arithmetically (polynomial
+in n and log q); for p < n a word with orbit size dividing p is a
+repetition of a length-p block, and the count reduces to a length-p
+instance plus an easily decided correction of one extra orbit.
 
-Two interchangeable evaluation paths are kept: "auto" evaluates the
-automaton arithmetically (polynomial in n and log q), and "encoded"
-materializes the paper's read-once branching programs over the binary
-expansion of the alphabet, kept as the cross-check.  Both are validated
-against each other and against brute force in the tests.
+The paper's read-once branching programs over the binary expansion of the
+alphabet count the same p = n quantity; they are materialized only as a
+cross-check (`programs.count_rotation_below`), which the tests and
+`oracle.selftest` compare with this module and with brute force.
 """
 
 from functools import lru_cache
 
 from . import engine
 from .errors import InvariantViolated, NotADivisor
-from .words import NkString, bin_encode, bits_for, fundamental_period, min_rotation
-
-PATHS = ("auto", "encoded")
+from .words import NkString, fundamental_period, min_rotation
 
 
 def divisors(n):
@@ -85,36 +83,13 @@ def orbits_below_digit(n, q, d, lyndon=False):
     return orbits_in_closed_form(n, q, lyndon) - orbits_in_closed_form(n, q - d, lyndon)
 
 
-def _resolve_path(path):
-    if path not in PATHS:
-        raise ValueError(f"unknown path {path!r}; expected one of {PATHS}")
-    return path
-
-
-def _count_full(digits, q, path):
-    """#{y : some rotation of y below the threshold}, full length."""
-    if path == "auto":
-        return engine.count_below(digits, q)
-    from .programs import (
-        build_alphabet_restriction,
-        build_intersection,
-        build_rotation_witness,
-        count_accepted,
-    )
-
-    t = bits_for(q)
-    ax = build_rotation_witness(bin_encode(NkString(len(digits), q, digits)), t)
-    a0 = build_alphabet_restriction(len(digits), t, q)
-    return count_accepted(build_intersection(ax, a0))
-
-
 @lru_cache(maxsize=4096)
-def _count_dividing_cached(digits, q, p, path):
+def _count_dividing_cached(digits, q, p):
     n = len(digits)
     if all(d == 0 for d in digits):
         return 0
     if p == n:
-        return _count_full(digits, q, path)
+        return engine.count_below(digits, q)
 
     # Words with orbit size dividing p < n are repetitions of a length-p
     # block a.  Their orbit is below x either because the block's own orbit
@@ -123,7 +98,7 @@ def _count_dividing_cached(digits, q, p, path):
     # it; the latter adds the orbit of x's first block, provided that block
     # is not already counted (it is its own minimal rotation).
     head = digits[:p]
-    count = _count_dividing_cached(head, q, p, path)
+    count = _count_dividing_cached(head, q, p)
     blocks = [digits[i:i + p] for i in range(0, n, p)]
     run = 1
     while run < len(blocks) and blocks[run] == head:
@@ -135,30 +110,28 @@ def _count_dividing_cached(digits, q, p, path):
     return count
 
 
-def count_words_below_period_dividing(x, p, path="auto"):
+def count_words_below_period_dividing(x, p):
     """#{y : orbit size of y divides p, some rotation of y below x}."""
     if p < 1 or x.n % p != 0:
         raise NotADivisor(f"period {p} does not divide length {x.n}")
-    return _count_dividing_cached(x.digits, x.q, p, _resolve_path(path))
+    return _count_dividing_cached(x.digits, x.q, p)
 
 
-def count_words_below_period_exact(x, p, path="auto"):
+def count_words_below_period_exact(x, p):
     """#{y : orbit size exactly p, some rotation of y below x}."""
     if p < 1 or x.n % p != 0:
         raise NotADivisor(f"period {p} does not divide length {x.n}")
-    path = _resolve_path(path)
     total = 0
     for i in divisors(p):
-        total += mobius(p // i) * _count_dividing_cached(x.digits, x.q, i, path)
+        total += mobius(p // i) * _count_dividing_cached(x.digits, x.q, i)
     return total
 
 
-def count_necklaces_below(x, path="auto"):
+def count_necklaces_below(x):
     """Number of orbits containing at least one word strictly below x."""
-    path = _resolve_path(path)
     total = 0
     for i in divisors(x.n):
-        exact = count_words_below_period_exact(x, i, path)
+        exact = count_words_below_period_exact(x, i)
         orbits, rem = divmod(exact, i)
         if rem:
             raise InvariantViolated(
@@ -168,26 +141,26 @@ def count_necklaces_below(x, path="auto"):
     return total
 
 
-def count_lyndon_below(x, path="auto"):
+def count_lyndon_below(x):
     """Number of orbits of full size n below x (aperiodic orbits)."""
-    exact = count_words_below_period_exact(x, x.n, path)
+    exact = count_words_below_period_exact(x, x.n)
     orbits, rem = divmod(exact, x.n)
     if rem:
         raise InvariantViolated("aperiodic word count not divisible by n; counting bug")
     return orbits
 
 
-def count_necklaces(n, q, path="auto"):
+def count_necklaces(n, q):
     """Total number of orbits of length-n words over a size-q alphabet."""
     top = NkString(n, q, (q - 1,) * n)
-    return count_necklaces_below(top, path) + 1
+    return count_necklaces_below(top) + 1
 
 
-def count_lyndon(n, q, path="auto"):
+def count_lyndon(n, q):
     """Total number of aperiodic orbits (equivalently, Lyndon words)."""
     top = NkString(n, q, (q - 1,) * n)
     extra = 1 if n == 1 else 0  # the all-max word is periodic unless n = 1
-    return count_lyndon_below(top, path) + extra
+    return count_lyndon_below(top) + extra
 
 
 def count_words_below_with_ceiling(x, ceiling):

@@ -763,17 +763,18 @@ def certify_primitive(ctx, factors):
 _AUTO_FACTOR_LIMIT = 2**80
 
 
+def format_fq(ctx, a):
+    """Text form of an F_q element: its e coefficients over F_p, low first, ','-joined."""
+    return ",".join(str(c) for c in tuple(a) + (0,) * (ctx.e - len(a)))
+
+
 def format_advice(fctx, factors=None):
     base = fctx.base
     lines = [f"{base.p} {base.e}"]
     if base.e > 1:
         lines.append(" ".join(str(c) for c in base.g))
     lines.append(str(fctx.n))
-    padded = []
-    for coeff in fctx.modulus:
-        vec = list(coeff) + [0] * (base.e - len(coeff))
-        padded.append(",".join(str(c) for c in vec))
-    lines.append(" ".join(padded))
+    lines.append(" ".join(format_fq(base, coeff) for coeff in fctx.modulus))
     if factors:
         lines.append("factors " + " ".join(str(r) for r in factors))
     return "\n".join(lines) + "\n"
@@ -843,8 +844,8 @@ def parse_advice(text):
     return ctx
 
 
-def load_advice(path):
-    with open(path, "r", encoding="ascii") as fh:
+def load_advice(filename):
+    with open(filename, "r", encoding="ascii") as fh:
         return parse_advice(fh.read())
 
 

@@ -55,16 +55,6 @@ class RankResult(_Frozen):
         object.__setattr__(self, "canonical", canonical)
 
 
-class ProbeCounter:
-    """Counts threshold-count evaluations made by one search (test hook)."""
-
-    def __init__(self):
-        self.count = 0
-
-    def bump(self):
-        self.count += 1
-
-
 def _coarsest(a, b, x, q):
     """The multiple of the largest power of q in [a, b] nearest x (a <= x <= b).
 
@@ -101,7 +91,7 @@ def _walk(n, q, lo, hi, target, weight):
     raise InvariantViolated("necklace walk left the bracket; the counts disagree")
 
 
-def _search(n, q, j, below, total, head=None, weight=None, probe_counter=None):
+def _search(n, q, j, below, total, head=None, weight=None):
     """Largest word x with below(x) < j, by a safeguarded interpolation search.
 
     The contract: `below` is nondecreasing in the word, below(0^n) = 0,
@@ -170,8 +160,6 @@ def _search(n, q, j, below, total, head=None, weight=None, probe_counter=None):
             x += delta if x < mid else -delta
         x = max(low, min(x, high))
         x = _coarsest(max(low, x - delta), min(high, x + delta), x, q)
-        if probe_counter is not None:
-            probe_counter.bump()
         probes += 1
         value = below(NkString.from_int(n, q, x))
         side = 1 if value < j else -1
@@ -184,41 +172,40 @@ def _search(n, q, j, below, total, head=None, weight=None, probe_counter=None):
     return NkString.from_int(n, q, lo)
 
 
-def index_necklace(n, q, j, path="auto", probe_counter=None):
+def index_necklace(n, q, j):
     """The j-th orbit's minimal representative, or TOO_LARGE past the count."""
     if j < 1:
         raise ValueError("ranks are 1-based")
-    total = counting.count_necklaces(n, q, path)
+    total = counting.count_necklaces(n, q)
     if j > total:
         return TOO_LARGE
-    return _search(n, q, j, lambda x: counting.count_necklaces_below(x, path), total,
-                   lambda d: counting.orbits_below_digit(n, q, d), lambda a, p: 1,
-                   probe_counter)
+    return _search(n, q, j, counting.count_necklaces_below, total,
+                   lambda d: counting.orbits_below_digit(n, q, d), lambda a, p: 1)
 
 
-def reverse_index_necklace(x, path="auto"):
+def reverse_index_necklace(x):
     """Rank of x's orbit together with its minimal representative."""
     canonical, _ = min_rotation(x)
-    rank = counting.count_necklaces_below(canonical, path) + 1
+    rank = counting.count_necklaces_below(canonical) + 1
     return RankResult(rank, canonical)
 
 
-def index_lyndon(n, q, j, path="auto", probe_counter=None):
+def index_lyndon(n, q, j):
     """The j-th Lyndon word (aperiodic minimal representative), or TOO_LARGE."""
     if j < 1:
         raise ValueError("ranks are 1-based")
-    total = counting.count_lyndon(n, q, path)
+    total = counting.count_lyndon(n, q)
     if j > total:
         return TOO_LARGE
-    return _search(n, q, j, lambda x: counting.count_lyndon_below(x, path), total,
+    return _search(n, q, j, counting.count_lyndon_below, total,
                    lambda d: counting.orbits_below_digit(n, q, d, lyndon=True),
-                   lambda a, p: p == n, probe_counter)
+                   lambda a, p: p == n)
 
 
-def reverse_index_lyndon(x, path="auto"):
+def reverse_index_lyndon(x):
     """Rank of x's orbit among aperiodic orbits; requires full period."""
     if fundamental_period(x) != x.n:
         raise NotAperiodic(f"word has period {fundamental_period(x)} < {x.n}")
     canonical, _ = min_rotation(x)
-    rank = counting.count_lyndon_below(canonical, path) + 1
+    rank = counting.count_lyndon_below(canonical) + 1
     return RankResult(rank, canonical)

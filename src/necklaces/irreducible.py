@@ -14,7 +14,7 @@ exponent words; it is not lexicographic on polynomial coefficients.
 from . import counting, indexing
 from .errors import NotAperiodic
 from .indexing import TOO_LARGE
-from .gf import minimal_polynomial
+from .gf import format_fq, minimal_polynomial
 
 
 def count_irreducible(q, n):
@@ -63,9 +63,4 @@ def index_irreducible(fctx, i):
 
 def format_poly(fctx, poly):
     """Low-first coefficient list, each coefficient an F_p vector."""
-    e = fctx.base.e
-    out = []
-    for coeff in poly:
-        vec = list(coeff) + [0] * (e - len(coeff))
-        out.append(",".join(str(c) for c in vec))
-    return " ".join(out)
+    return " ".join(format_fq(fctx.base, coeff) for coeff in poly)

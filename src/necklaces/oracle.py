@@ -133,7 +133,7 @@ def selftest(max_n_binary=8, verbose=False):
     """
     import random
 
-    from . import bch, counting, gf, indexing, irreducible, topheavy
+    from . import bch, counting, gf, indexing, irreducible, programs, topheavy
     from .words import bin_encode, orbit_below
 
     lines = []
@@ -188,11 +188,8 @@ def selftest(max_n_binary=8, verbose=False):
                 x = NkString.from_int(n, q, v)
                 expect = brute_words_below_period_dividing(x, n)
                 good &= counting.count_words_below_period_dividing(x, n) == expect
-                good &= (
-                    counting.count_words_below_period_dividing(x, n, path="encoded")
-                    == expect
-                )
-    check("encoded path equals engine and brute force", good)
+                good &= programs.count_rotation_below(x) == expect
+    check("branching programs equal engine and brute force", good)
 
     # irreducible polynomial indexing
     good = True

@@ -23,12 +23,16 @@ express; those states are labeled by their content directly.
 Witness occurrences are restricted to starts at multiples of a block width
 t, which is what rotation by whole encoded symbols requires (t = 1 for a
 plain binary threshold); every node carries its coordinate mod t.
+
+`count_rotation_below` is the one entry point from q-ary thresholds: the
+package counts with `engine`, and these programs are kept as its
+materialized cross-check.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import LayerMismatch
-from .words import bits_for, borders
+from .words import bin_encode, bits_for, borders
 
 @dataclass
 class BranchingProgram:
@@ -37,9 +41,6 @@ class BranchingProgram:
     layers: list = field(repr=False)  # layers[j]: list of node labels
     arcs: list = field(repr=False)  # arcs[j][i][sym] -> index at layer j+1 | None
     accepting: frozenset  # indices into layers[num_layers]
-
-    def node_count(self):
-        return sum(len(layer) for layer in self.layers)
 
     def distinct_labels(self):
         """Distinct automaton states ignoring layer position."""
@@ -71,47 +72,6 @@ def accepts(bp, symbols):
         if node is None:
             return False
     return node in bp.accepting
-
-
-def is_total(bp):
-    """True when every non-final node has exactly one arc per symbol."""
-    return all(
-        dst is not None
-        for j in range(bp.num_layers)
-        for row in bp.arcs[j]
-        for dst in row
-    )
-
-
-def prune_dead(bp):
-    """Drop nodes with no accepting continuation; accepted counts are unchanged."""
-    keep = [set() for _ in range(bp.num_layers + 1)]
-    keep[bp.num_layers] = set(bp.accepting)
-    for j in range(bp.num_layers - 1, -1, -1):
-        for i, row in enumerate(bp.arcs[j]):
-            if any(dst is not None and dst in keep[j + 1] for dst in row):
-                keep[j].add(i)
-    if 0 not in keep[0]:
-        keep[0].add(0)  # keep the start node even if nothing is accepted
-    remap = []
-    layers = []
-    for j in range(bp.num_layers + 1):
-        idxs = sorted(keep[j])
-        remap.append({old: new for new, old in enumerate(idxs)})
-        layers.append([bp.layers[j][old] for old in idxs])
-    arcs = []
-    for j in range(bp.num_layers):
-        rows = []
-        for old in sorted(keep[j]):
-            rows.append(
-                [
-                    remap[j + 1].get(dst) if dst is not None else None
-                    for dst in bp.arcs[j][old]
-                ]
-            )
-        arcs.append(rows)
-    accepting = frozenset(remap[bp.num_layers][i] for i in bp.accepting)
-    return BranchingProgram(bp.num_layers, bp.alphabet_size, layers, arcs, accepting)
 
 
 def serialize(bp):
@@ -454,3 +414,16 @@ def build_rotation_witness(x, t):
     if len(x.bits) % t != 0:
         raise ValueError("threshold length must be a multiple of the block width")
     return build_union(build_contiguous(x, t=t), build_wraparound(x, t=t))
+
+
+def count_rotation_below(x):
+    """#{y : some rotation of y below x}, counted on the paper's programs.
+
+    The rotation-witness program over the binary encoding of x, intersected
+    with the restriction to valid t-bit symbols (t = bits_for(q)), counts
+    what `engine.count_below` counts arithmetically; it is materialized only
+    as a cross-check.
+    """
+    t = bits_for(x.q)
+    return count_accepted(build_intersection(
+        build_rotation_witness(bin_encode(x), t), build_alphabet_restriction(x.n, t, x.q)))

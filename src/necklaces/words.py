@@ -272,40 +272,6 @@ def bin_decode(w, q):
     return NkString(n, q, tuple(digits))
 
 
-def is_witness(w, x):
-    """True iff w = s0 where s1 is a prefix of the binary word x.
-
-    A binary word is strictly below x exactly when one of its prefixes is a
-    witness for x.
-    """
-    wb, xb = w.bits, x.bits
-    m = len(wb)
-    if m < 1 or m > len(xb) or wb[-1] != 0:
-        return False
-    return xb[m - 1] == 1 and wb[:m - 1] == xb[:m - 1]
-
-
-def is_witness_prefix(s, x):
-    """True iff s is a prefix of some witness for x (empty word counts iff any exist)."""
-    sb, xb = s.bits, x.bits
-    m = len(sb)
-    last_one = _last_one_index(xb)
-    if last_one is None:
-        return False
-    if m == 0:
-        return True
-    if m <= last_one and sb == xb[:m]:
-        return True
-    return m - 1 < len(xb) and xb[m - 1] == 1 and sb[-1] == 0 and sb[:m - 1] == xb[:m - 1]
-
-
-def _last_one_index(bits):
-    for i in range(len(bits) - 1, -1, -1):
-        if bits[i] == 1:
-            return i
-    return None
-
-
 def format_word(x):
     """Text form: digit string for q <= 10, comma-separated decimals otherwise."""
     if x.q <= 10:

@@ -43,16 +43,6 @@ def python(*args):
                           timeout=120, check=False)
 
 
-def test_path_accepts_only_auto_and_encoded(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--path", "direct", "necklace", "count", "6", "3"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    default = run(capsys, "necklace", "count", "6", "3")
-    encoded = run(capsys, "--path", "encoded", "necklace", "count", "6", "3")
-    assert default == encoded == (0, "130 116\n", "")
-
-
 def test_period_zero_is_not_a_divisor(capsys):
     code, out, err = run(capsys, "classes-less", "0110", "--q", "2", "--period", "0")
     assert (code, out) == (2, "")
@@ -162,6 +152,8 @@ MALFORMED = [
      'error: advice describes q=2, n=4; requested q=2, n=5\n'),
     ('irred gen-advice 2 4 --seed 1 --factors 3 7', 3,
      'error: factor product does not match the group order\n'),
+    ('irred gen-advice 2 400 --seed 1', 4,
+     'error: q^n - 1 is too large to factor here; supply it with --factors\n'),
     ('bch gen-entry --advice A24 --d 5 --row 9 --col 1', 4,
      'error: row 9 beyond 1 generator rows\n'),
     ('bch pc-entry --advice A24 --d 5 --row 2 --col 1:0:1:0:1', 2,

@@ -7,7 +7,7 @@ from conftest import (
     brute_count_below,
     brute_necklaces_below,
 )
-from necklaces import counting
+from necklaces import counting, programs
 from necklaces.errors import InvariantViolated, NotADivisor
 from necklaces.oracle import closed_form_counts
 from necklaces.words import NkString, parse_word
@@ -118,6 +118,7 @@ def test_monotonicity():
 
 
 def test_paths_agree():
+    """The engine and the paper's branching programs both count as brute force does."""
     rng = random.Random(29)
     for q in (3, 4, 5, 6):
         for n in range(1, 5):
@@ -128,33 +129,13 @@ def test_paths_agree():
             for v in values:
                 x = NkString.from_int(n, q, v)
                 want = brute_count_below(x, n, dividing=True)
-                for path in counting.PATHS:
-                    got = counting.count_words_below_period_dividing(x, n, path=path)
-                    assert got == want, (q, n, v, path)
-
-
-def test_paths_agree_on_subperiod_counts():
-    for q in (3, 4):
-        for n in (2, 4):
-            for v in range(q**n):
-                x = NkString.from_int(n, q, v)
-                for p in counting.divisors(n):
-                    base = counting.count_words_below_period_dividing(x, p)
-                    assert (
-                        counting.count_words_below_period_dividing(x, p, path="encoded")
-                        == base
-                    )
-
-
-def test_direct_path_guardrail():
-    for path in ("direct", "bogus"):
-        with pytest.raises(ValueError):
-            counting.count_words_below_period_dividing(w("10"), 2, path=path)
+                assert counting.count_words_below_period_dividing(x, n) == want, (q, n, v)
+                assert programs.count_rotation_below(x) == want, (q, n, v)
 
 
 def test_orbit_count_invariants_raise(monkeypatch):
     """A count not divisible by its orbit size is a bug, reported as such."""
-    monkeypatch.setattr(counting, "count_words_below_period_exact", lambda x, p, path: 1)
+    monkeypatch.setattr(counting, "count_words_below_period_exact", lambda x, p: 1)
     with pytest.raises(InvariantViolated):
         counting.count_necklaces_below(w("0110"))
     with pytest.raises(InvariantViolated):

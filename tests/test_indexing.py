@@ -5,7 +5,7 @@ import pytest
 
 from necklaces import counting, indexing
 from necklaces.errors import InvariantViolated, NotAperiodic
-from necklaces.indexing import TOO_LARGE, ProbeCounter
+from necklaces.indexing import TOO_LARGE
 from necklaces.oracle import brute_orbits
 from necklaces.words import NkString, fundamental_period, min_rotation, parse_word
 
@@ -93,11 +93,25 @@ def test_outputs_are_ordered_and_canonical():
             assert fundamental_period(word) == word.n
 
 
-def test_probe_budget():
+@pytest.fixture
+def probes(monkeypatch):
+    """Records every orbit count below a threshold, the calls an unrank's search probes.
+
+    An unrank also makes one such call for its total, so its probes number
+    len(probes) - 1 after clearing the list.
+    """
+    calls = []
+    for name in ("count_necklaces_below", "count_lyndon_below"):
+        real = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda x, real=real: calls.append(x) or real(x))
+    return calls
+
+
+def test_probe_budget(probes):
     for n, q, j in ((10, 2, 50), (5, 3, 7), (4, 97, 1000)):
-        counter = ProbeCounter()
-        indexing.index_necklace(n, q, j, probe_counter=counter)
-        assert counter.count <= n * math.ceil(math.log2(q)) + 2
+        probes.clear()
+        indexing.index_necklace(n, q, j)
+        assert len(probes) - 1 <= n * math.ceil(math.log2(q)) + 2
 
 
 def _next_necklace(digits, q):
@@ -156,9 +170,8 @@ def test_walk_raises_on_an_off_by_one_count(monkeypatch):
     n, q = 8, 2
     total = counting.count_necklaces(n, q)
     true_below = counting.count_necklaces_below
-    monkeypatch.setattr(counting, "count_necklaces", lambda n, q, path="auto": total)
-    monkeypatch.setattr(counting, "count_necklaces_below",
-                        lambda x, path="auto": max(0, true_below(x, path) - 1))
+    monkeypatch.setattr(counting, "count_necklaces", lambda n, q: total)
+    monkeypatch.setattr(counting, "count_necklaces_below", lambda x: max(0, true_below(x) - 1))
     # The last necklace with first digit 0: the bracket's top is the closed
     # form's, so no probe can lower it to meet the undercount.
     j = counting.orbits_below_digit(n, q, 1)
@@ -170,7 +183,7 @@ def test_walk_raises_on_an_off_by_one_count(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, n, draws", [("necklace", 32, 150), ("lyndon", 64, 40)])
-def test_seeded_ranks_within_bisection(kind, n, draws):
+def test_seeded_ranks_within_bisection(probes, kind, n, draws):
     """Seeded binary unranks take no more probes than plain bisection's n.
 
     Binary orbit counts pile up at the low end of the interval, where plain
@@ -181,9 +194,9 @@ def test_seeded_ranks_within_bisection(kind, n, draws):
     rng = random.Random(21)
     for _ in range(draws):
         j = rng.randint(1, total)
-        counter = ProbeCounter()
-        unrank(n, 2, j, probe_counter=counter)
-        assert counter.count <= n, (j, counter.count)
+        probes.clear()
+        unrank(n, 2, j)
+        assert len(probes) - 1 <= n, (j, len(probes) - 1)
 
 
 @pytest.mark.parametrize("n", [24, 40, 64], ids=["n24", "n40", "n64"])

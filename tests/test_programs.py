@@ -15,8 +15,6 @@ from necklaces.programs import (
     build_union,
     build_wraparound,
     count_accepted,
-    is_total,
-    prune_dead,
     serialize,
 )
 from necklaces.words import BinWord, NkString, bin_decode, bin_encode, bits_for
@@ -209,18 +207,6 @@ def test_rotation_witness_within_restriction():
     assert got == want
 
 
-def test_structure_and_pruning():
-    rng = random.Random(13)
-    for _ in range(20):
-        n = rng.randrange(1, 8)
-        x = BinWord(NkString.from_int(n, 2, rng.randrange(2**n)).digits)
-        bp = build_union(build_contiguous(x), build_wraparound(x))
-        assert is_total(bp)
-        pruned = prune_dead(bp)
-        assert count_accepted(pruned) == count_accepted(bp)
-        assert pruned.node_count() <= bp.node_count()
-
-
 def test_distinct_label_ceiling():
     # distinct automaton states stay within 4(n+1)^2 (t+1)^2
     for n in range(1, 9):
@@ -258,12 +244,16 @@ def test_serialize_golden():
 
 
 def test_every_input_routes_uniquely():
-    bp = build_union(
-        build_contiguous(bword("0110")), build_wraparound(bword("0110"))
-    )
-    for word in product((0, 1), repeat=4):
-        node = 0
-        for j, sym in enumerate(word):
-            nxt = bp.arcs[j][node][sym]
-            assert nxt is not None
-            node = nxt
+    rng = random.Random(13)
+    thresholds = [bword("0110")]
+    for _ in range(20):
+        n = rng.randrange(1, 8)
+        thresholds.append(BinWord(NkString.from_int(n, 2, rng.randrange(2**n)).digits))
+    for x in thresholds:
+        bp = build_union(build_contiguous(x), build_wraparound(x))
+        for word in product((0, 1), repeat=len(x.bits)):
+            node = 0
+            for j, sym in enumerate(word):
+                nxt = bp.arcs[j][node][sym]
+                assert nxt is not None, (x.bits, word)
+                node = nxt

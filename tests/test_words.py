@@ -16,8 +16,6 @@ from necklaces.words import (
     complement,
     format_word,
     fundamental_period,
-    is_witness,
-    is_witness_prefix,
     max_rotation,
     min_rotation,
     next_prenecklace,
@@ -137,48 +135,6 @@ def test_bin_encode_preserves_order():
                     assert (words[a].digits < words[b].digits) == (
                         encoded[a] < encoded[b]
                     )
-
-
-def test_witness_examples():
-    x = BinWord((1, 0, 1))
-    assert is_witness(BinWord((1, 0, 0)), x)
-    assert is_witness(BinWord((0,)), x)
-    assert not is_witness(BinWord((1, 0)), x)
-    zeros = BinWord((0, 0, 0))
-    for bits in ((0,), (0, 0), (0, 0, 0)):
-        assert not is_witness(BinWord(bits), zeros)
-    assert is_witness_prefix(BinWord((1,)), BinWord((1, 1)))
-
-
-def test_witness_prefix_characterizes_lexicographic_order():
-    # any word is strictly below x iff one of its prefixes is a witness
-    for n in range(1, 10):
-        for xv in range(2**n):
-            x = NkString.from_int(n, 2, xv)
-            xb = BinWord(x.digits)
-            has_any = any(b == 1 for b in x.digits)
-            assert is_witness_prefix(BinWord(()), xb) == has_any
-            for zv in range(2**n):
-                z = NkString.from_int(n, 2, zv)
-                below = z.digits < x.digits
-                witnessed = any(
-                    is_witness(BinWord(z.digits[:m]), xb) for m in range(1, n + 1)
-                )
-                assert below == witnessed
-
-
-def test_witness_implies_short_and_prefixes_close():
-    x = BinWord((1, 0, 1, 1, 0, 1))
-    members = [
-        bits
-        for m in range(1, 9)
-        for bits in [tuple((v >> (m - 1 - i)) & 1 for i in range(m)) for v in range(2**m)]
-        if is_witness(BinWord(bits), x)
-    ]
-    for bits in members:
-        assert len(bits) <= 6
-        for cut in range(len(bits) + 1):
-            assert is_witness_prefix(BinWord(bits[:cut]), x)
 
 
 def test_orbit_below_examples():
