@@ -6,16 +6,20 @@ F_{q^n} = F_q[T]/F(T) are tuples of F_q elements in the same convention.
 p and q are arbitrary-precision; only the extension degrees need to stay
 reasonable.
 
-Inside, F_{q^n} arithmetic runs on a packed kernel (_Packed): an element's
-n*e coordinates over F_p are slots of one Python int, so a product is one
-big-integer multiply (Kronecker substitution) followed by a fold of the
-overflow slots and a slot-wise reduction mod p.  Slots are
+Inside, all field arithmetic runs on one packed kernel (_Packed): an
+element's n*e coordinates over F_p are slots of one Python int, so a
+product is one big-integer multiply (Kronecker substitution) followed by a
+fold of the overflow slots and a slot-wise reduction mod p.  Slots are
 W = 8 * ceil(bits(V * ceil(2^s / p)) / 8) bits wide, with the slot bound
 V = (2n-1)(2e-1) p^2 and 2^s > V p, so neither the product nor the
-reduction carries between slots.  FqnCtx.mul/pow convert once per call;
-frobenius, minimal_polynomial and is_irreducible stay packed throughout.
-The generic polynomial routines (pmul, pdivmod, ...) over a coefficient
-field object serve F_q itself, inverses and gcds.
+reduction carries between slots.  F_q is the kernel's n = 1 case
+F_q[T]/(T), its element in row 0; FqCtx and FqnCtx share one implementation
+(_Ext) that converts once per call, and inverses are a^(size-2).
+frobenius, minimal_polynomial and is_irreducible stay packed throughout;
+is_irreducible is Rabin's test with its gcd replaced by a norm (see there).
+The generic tuple-polynomial routines (padd, psub, pmul, pdivmod, pmod,
+pmonic, pgcd) over a coefficient field object have no production caller:
+they are the tests' independent reference arithmetic.
 
 The advice file format (normative for interoperability; unchanged by the
 packed representation):
@@ -198,7 +202,8 @@ def factorize(m):
 
 
 # ---------------------------------------------------------------------------
-# generic polynomial arithmetic over a coefficient field object
+# generic polynomial arithmetic over a coefficient field object: F_p for the
+# tower, and the tests' reference routines
 
 
 class _PrimeField:
@@ -215,9 +220,6 @@ class _PrimeField:
 
     def sub(self, a, b):
         return (a - b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def mul(self, a, b):
         return a * b % self.p
@@ -303,26 +305,21 @@ def pgcd(field, a, b):
     return pmonic(field, a)
 
 
-def pinv_mod(field, a, mod):
-    """Inverse of a modulo mod via the extended Euclidean algorithm."""
-    r0, r1 = mod, pmod(field, a, mod)
-    s0, s1 = (), (field.one,)
-    while r1:
-        q, r2 = pdivmod(field, r0, r1)
-        r0, r1 = r1, r2
-        s0, s1 = s1, psub(field, s0, pmul(field, q, s1))
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible modulo the modulus")
-    inv_lead = field.inv(r0[0])
-    return pstrip(field, [field.mul(c, inv_lead) for c in s0])
-
-
 def is_irreducible(field, f):
-    """Irreducibility over the field of size field.size; f monic, degree >= 1.
+    """Rabin's irreducibility test over the field of size q = field.size.
 
-    Standard criterion: T^(size^m) = T mod f, and for every prime r | m the
-    gcd of T^(size^(m/r)) - T with f is trivial.  The powers are computed
-    in the packed kernel, which needs no irreducibility of f.
+    f (monic, degree m >= 1) is irreducible iff T^(q^m) = T mod f and, for
+    every prime r | m, w = T^(q^(m/r)) - T is a unit of R = F_q[T]/(f), i.e.
+    gcd(w, f) = 1.  The unit test needs no division.  Once T^(q^m) = T, the
+    Frobenius x -> x^q fixes T, so Frob^m is the identity of R; R is then
+    reduced (f is squarefree) and a product of fields F_(q^d) with d | m.
+    In the component F_(q^d), the norm N(w) = w Frob(w) ... Frob^(m-1)(w) is
+    the field norm of w's component raised to m/d: an element of F_q, zero
+    exactly where that component is.  So w is a unit iff N(w)^(q-1) = 1.
+    Frob^k(w) = T^(q^(k+m/r)) - T^(q^k) is read off the list of powers, so
+    after m Frobenius maps each prime r costs 2m ring operations and one
+    (q-1)-th power, all in the packed kernel, which needs no irreducibility
+    of f.
     """
     m = len(f) - 1
     if m < 1:
@@ -332,17 +329,20 @@ def is_irreducible(field, f):
     if m == 1:
         return True
     if isinstance(field, _PrimeField):  # F_p as F_p[u]/(u): coefficients become 1-vectors
-        field, f = FqCtx(field.p, 1), tuple((c % field.p,) if c % field.p else () for c in f)
-    kernel = _Packed(field.p, field.g, f)
+        g, f = (0, 1), tuple((c % field.p,) if c % field.p else () for c in f)
+    else:
+        g = field.g
+    kernel = _Packed(field.p, g, f)
     powers = [kernel.t]
     for _ in range(m):
         powers.append(kernel.frobenius(powers[-1]))
     if powers[m] != kernel.t:
         return False
-    X = (field.zero, field.one)
     for r in sorted(set(factorize(m))):
-        w = psub(field, kernel.unpack(powers[m // r]), X)
-        if len(pgcd(field, w, f)) != 1:
+        norm = kernel.one
+        for k in range(m):
+            norm = kernel.mul(norm, kernel.sub(powers[(k + m // r) % m], powers[k]))
+        if kernel.pow(norm, kernel.q - 1) != kernel.one:
             return False
     return True
 
@@ -388,6 +388,7 @@ class _Packed:
         self._ebytes = n * self._rowb
         self._zbytes = (2 * n - 1) * self._rowb
         in_range = [i * stride + k for i in range(n) for k in range(e)]
+        self._slots = [j * wb for j in in_range]  # byte offsets, in order of i*e + k
         self._keep = sum(((1 << W) - 1) << (j * W) for j in in_range)
         self._ps = sum(p << (j * W) for j in in_range)
         low = (1 << (W - s)) - 1
@@ -449,8 +450,26 @@ class _Packed:
                 acc += c * image
         return self._mod_p(acc)
 
+    def from_int(self, v):
+        """The element whose coordinate (i, k) is the base-p digit i*e + k of v."""
+        buf, wb = bytearray(self._ebytes), self._wb
+        for at in self._slots:
+            v, c = divmod(v, self.p)
+            buf[at:at + wb] = c.to_bytes(wb, "little")
+        return int.from_bytes(buf, "little")
+
+    def to_int(self, x):
+        """Inverse of from_int."""
+        b, wb, v = x.to_bytes(self._ebytes, "little"), self._wb, 0
+        for at in reversed(self._slots):
+            v = v * self.p + int.from_bytes(b[at:at + wb], "little")
+        return v
+
     def add(self, x, y):
         return self._mod_p(x + y)
+
+    def sub(self, x, y):
+        return self._mod_p(x + self._ps - y)
 
     def neg(self, x):
         return self._mod_p(self._ps - x)
@@ -483,11 +502,55 @@ class _Packed:
 
 
 # ---------------------------------------------------------------------------
-# F_q = F_p[u]/g(u)
+# F_q and F_{q^n}: tuple elements over the packed kernel
 
 
-class FqCtx:
-    """Description of F_q as F_p[u]/g(u); elements are low-first int tuples."""
+class _Ext:
+    """Field arithmetic shared by FqCtx and FqnCtx, run on their packed kernel.
+
+    A subclass sets kernel, size, zero and one, and converts its tuple
+    elements with _pack / _unpack; every operation packs its operands once
+    and unpacks the result once.
+    """
+
+    def add(self, a, b):
+        return self._unpack(self.kernel.add(self._pack(a), self._pack(b)))
+
+    def sub(self, a, b):
+        return self._unpack(self.kernel.sub(self._pack(a), self._pack(b)))
+
+    def neg(self, a):
+        return self._unpack(self.kernel.neg(self._pack(a)))
+
+    def mul(self, a, b):
+        return self._unpack(self.kernel.mul(self._pack(a), self._pack(b)))
+
+    def pow(self, a, k):
+        if k < 0:
+            raise ValueError("negative exponent")
+        return self._unpack(self.kernel.pow(self._pack(a), k))
+
+    def inv(self, a):
+        """a^(size - 2): a^(size - 1) = 1 for every nonzero a of the field."""
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return self._unpack(self.kernel.pow(self._pack(a), self.size - 2))
+
+    def is_zero(self, a):
+        return a == ()
+
+    def element_from_int(self, v):
+        """The element whose F_p coordinates, low first, are the base-p digits of v."""
+        if not (0 <= v < self.size):
+            raise ValueError("element index out of range")
+        return self._unpack(self.kernel.from_int(v))
+
+    def element_to_int(self, a):
+        return self.kernel.to_int(self._pack(a))
+
+
+class FqCtx(_Ext):
+    """F_q = F_p[u]/g(u), the kernel's n = 1 case F_q[T]/(T); elements are low-first int tuples."""
 
     def __init__(self, p, e, g=None):
         if not is_probable_prime(p):
@@ -507,61 +570,20 @@ class FqCtx:
         self.p = p
         self.e = e
         self.g = g
-        self.q = p**e
-        self.size = self.q
+        self.q = self.size = p**e
         self.base = base
         self.zero = ()
         self.one = (1,)
+        self.kernel = _Packed(p, g, ((), (1,)))  # an element sits in row 0
 
     def __repr__(self):
         return f"FqCtx(p={self.p}, e={self.e})"
 
-    def add(self, a, b):
-        return padd(self.base, a, b)
+    def _pack(self, a):
+        return self.kernel.pack((a,))
 
-    def sub(self, a, b):
-        return psub(self.base, a, b)
-
-    def neg(self, a):
-        return pstrip(self.base, [-c % self.p for c in a])
-
-    def mul(self, a, b):
-        return pmod(self.base, pmul(self.base, a, b), self.g)
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return pinv_mod(self.base, a, self.g)
-
-    def pow(self, a, k):
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        result = self.one
-        base = a
-        while k > 0:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
-
-    def is_zero(self, a):
-        return a == ()
-
-    def element_from_int(self, v):
-        if not (0 <= v < self.q):
-            raise ValueError("element index out of range")
-        out = []
-        while v:
-            v, r = divmod(v, self.p)
-            out.append(r)
-        return tuple(out)
-
-    def element_to_int(self, a):
-        v = 0
-        for c in reversed(a):
-            v = v * self.p + c
-        return v
+    def _unpack(self, x):
+        return self.kernel.unpack(x)[0] if x else ()
 
 
 def poly_to_int(ctx, f):
@@ -602,7 +624,7 @@ def default_fq_ctx(q):
 # F_{q^n} = F_q[T]/F(T)
 
 
-class FqnCtx:
+class FqnCtx(_Ext):
     """The extension F_q[T]/F(T); elements are low-first tuples of F_q elements."""
 
     def __init__(self, base, n, modulus, primitive=False, _verified=False):
@@ -618,66 +640,27 @@ class FqnCtx:
         self.modulus = modulus
         self.primitive = primitive
         self.q = base.q
-        self.order = base.q**n - 1
+        self.size = base.q**n
+        self.order = self.size - 1
         self.zero = ()
         self.one = (base.one,)
-        self.generator = pmod(base, (base.zero, base.one), modulus)
-        self._packed = None
+        self.kernel = _Packed(base.p, base.g, modulus)
+        self._pack, self._unpack = self.kernel.pack, self.kernel.unpack
+        self.generator = self._unpack(self.kernel.t)
         self.subfield_bases = {}  # ell -> basis tuple; filled by bch.subfield_basis
 
     def __repr__(self):
         return f"FqnCtx(q={self.q}, n={self.n}, primitive={self.primitive})"
 
-    def add(self, a, b):
-        return padd(self.base, a, b)
-
-    def sub(self, a, b):
-        return psub(self.base, a, b)
-
-    def neg(self, a):
-        return pstrip(self.base, [self.base.neg(c) for c in a])
-
-    def _kernel(self):
-        """The packed kernel of this field, built on first use."""
-        if self._packed is None:
-            self._packed = _Packed(self.base.p, self.base.g, self.modulus)
-        return self._packed
-
-    def mul(self, a, b):
-        k = self._kernel()
-        return k.unpack(k.mul(k.pack(a), k.pack(b)))
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return pinv_mod(self.base, a, self.modulus)
-
-    def pow(self, a, k):
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        kernel = self._kernel()
-        return kernel.unpack(kernel.pow(kernel.pack(a), k))
-
-    def is_zero(self, a):
-        return a == ()
-
-    def element_from_int(self, v):
-        """Index elements by base-q packing of their F_q coordinates."""
-        if not (0 <= v < self.q**self.n):
-            raise ValueError("element index out of range")
-        out = []
-        while v:
-            v, r = divmod(v, self.q)
-            out.append(self.base.element_from_int(r))
-        return tuple(out)
-
-    def element_to_int(self, a):
-        return poly_to_int(self.base, a)
+    # bound here too, so that wrapping FqnCtx.mul / pow (bench/tracing.py
+    # does) counts F_{q^n} calls and not F_q's
+    mul = _Ext.mul
+    pow = _Ext.pow
 
 
 def frobenius(fctx, a):
     """The q-power map, the generating automorphism of F_{q^n} over F_q."""
-    k = fctx._kernel()
+    k = fctx.kernel
     return k.unpack(k.frobenius(k.pack(a)))
 
 
@@ -689,7 +672,7 @@ def minimal_polynomial(fctx, a):
     F_q, which is verified coefficient by coefficient.  Conjugates and the
     product stay packed.
     """
-    n, k = fctx.n, fctx._kernel()
+    n, k = fctx.n, fctx.kernel
     conjugates = [k.pack(a)]
     for _ in range(n - 1):
         conjugates.append(k.frobenius(conjugates[-1]))
@@ -731,9 +714,7 @@ def find_primitive_polynomial(base, n, factors, rng_seed):
     factors must be the complete prime factorization of q^n - 1 (with
     multiplicity); determinism follows from the seed.
     """
-    order = base.q**n - 1
-    check_factorization(order, factors)
-    distinct = sorted(set(factors))
+    check_factorization(base.q**n - 1, factors)
     rng = random.Random(rng_seed)
     while True:
         coeffs = [base.element_from_int(rng.randrange(base.q)) for _ in range(n)]
@@ -744,17 +725,21 @@ def find_primitive_polynomial(base, n, factors, rng_seed):
         if n > 1 and not is_irreducible(base, f):
             continue
         ctx = FqnCtx(base, n, f, primitive=False, _verified=True)
-        g = ctx.generator
-        if all(ctx.pow(g, order // r) != ctx.one for r in distinct):
+        if certify_primitive(ctx, factors):
             ctx.primitive = True
             return ctx
 
 
 def certify_primitive(ctx, factors):
-    """Verify that the class of T generates the multiplicative group."""
+    """Verify that the class of T generates the multiplicative group.
+
+    The modulus is irreducible, so the class of T fails to be a unit only
+    when it is 0 (the modulus T, n = 1); any other class generates iff no
+    g^(order/r) is 1.
+    """
     check_factorization(ctx.order, factors)
     g = ctx.generator
-    return all(ctx.pow(g, ctx.order // r) != ctx.one for r in sorted(set(factors)))
+    return bool(g) and all(ctx.pow(g, ctx.order // r) != ctx.one for r in sorted(set(factors)))
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def brute_irreducibles(q, n):
     return out
 
 
-def selftest(max_n_binary=8, verbose=False):
+def selftest(max_n_binary=8):
     """Reduced oracle-equivalence sweep across the whole pipeline.
 
     Returns (ok, lines); every line reports one named check.  Kept small

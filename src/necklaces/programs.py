@@ -74,19 +74,6 @@ def accepts(bp, symbols):
     return node in bp.accepting
 
 
-def serialize(bp):
-    """Debug text form: one "layer src symbol dst" line per arc, then accepts."""
-    lines = []
-    for j in range(bp.num_layers):
-        for i, row in enumerate(bp.arcs[j]):
-            for sym, dst in enumerate(row):
-                if dst is not None:
-                    lines.append(f"{j} {i} {sym} {dst}")
-    for i in sorted(bp.accepting):
-        lines.append(f"ACCEPT {i}")
-    return "\n".join(lines) + "\n"
-
-
 def _build_layered(num_layers, alphabet_size, start_label, step, accept):
     """Generic BFS construction of a layered program.
 
@@ -95,7 +82,6 @@ def _build_layered(num_layers, alphabet_size, start_label, step, accept):
     """
     layers = [[start_label]]
     arcs = []
-    index = {start_label: 0}
     for j in range(num_layers):
         nxt_index = {}
         nxt_labels = []
@@ -113,7 +99,6 @@ def _build_layered(num_layers, alphabet_size, start_label, step, accept):
             rows.append(row)
         arcs.append(rows)
         layers.append(nxt_labels)
-        index = nxt_index
     accepting = frozenset(i for i, lab in enumerate(layers[-1]) if accept(lab))
     return BranchingProgram(num_layers, alphabet_size, layers, arcs, accepting)
 
@@ -332,7 +317,6 @@ def _combine(a, b, accept_rule):
     n = a.num_layers
     layers = [[(0, 0)]]
     arcs = []
-    index = {(0, 0): 0}
     for j in range(n):
         nxt_index = {}
         nxt_labels = []

@@ -13,6 +13,7 @@ ADVICE = {
     "A22": "2 1\n2\n1 1 1\nfactors 3\n",
     "A24": "2 1\n4\n1 0 0 1 1\nfactors 3 5\n",
     "A42": "2 2\n1 1 1\n2\n1,1 1,1 1,0\nfactors 3 5\n",
+    "A31T": "3 1\n1\n0 1\nfactors 2\n",  # modulus T: the class of T is 0
 }
 
 
@@ -150,6 +151,8 @@ MALFORMED = [
     ('classes-less 0110 --q 2 --period 3', 2, 'error: period 3 does not divide length 4\n'),
     ('irred index 2 5 1 --advice A24', 3,
      'error: advice describes q=2, n=4; requested q=2, n=5\n'),
+    ('irred index 3 1 1 --advice A31T', 3,
+     'error: the class of T does not generate the multiplicative group\n'),
     ('irred gen-advice 2 4 --seed 1 --factors 3 7', 3,
      'error: factor product does not match the group order\n'),
     ('irred gen-advice 2 400 --seed 1', 4,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from necklaces import gf
+from necklaces import bch, gf, irreducible
 from necklaces.errors import (
     BadFactorization,
     ConjugatesCollide,
@@ -54,6 +54,69 @@ def test_f4_arithmetic():
     assert f4.pow(u, 3) == (1,)
     with pytest.raises(ZeroDivisionError):
         f4.inv(())
+
+
+def _check_fq_against_tuple_routines(ctx, pairs, exponents):
+    """FqCtx arithmetic (the packed kernel) against the generic tuple routines over F_p."""
+    fp, g = ctx.base, ctx.g
+
+    def ref_mul(a, b):
+        return gf.pmod(fp, gf.pmul(fp, a, b), g)
+
+    for a, b in pairs:
+        assert ctx.add(a, b) == gf.padd(fp, a, b)
+        assert ctx.sub(a, b) == gf.psub(fp, a, b)
+        assert ctx.mul(a, b) == ref_mul(a, b)
+    for a in {a for a, _ in pairs}:
+        assert ctx.neg(a) == gf.psub(fp, (), a)
+        if a:
+            assert ref_mul(a, ctx.inv(a)) == (1,)
+        for k in exponents:
+            power, base, e = (1,), a, k
+            while e:
+                if e & 1:
+                    power = ref_mul(power, base)
+                base, e = ref_mul(base, base), e >> 1
+            assert ctx.pow(a, k) == power, (a, k)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(ctx.zero)
+    with pytest.raises(ValueError):
+        ctx.pow(ctx.one, -1)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
+def test_fq_matches_tuple_routines_exhaustively(q):
+    ctx = gf.default_fq_ctx(q)
+    elements = [ctx.element_from_int(v) for v in range(q)]
+    assert [ctx.element_to_int(a) for a in elements] == list(range(q))
+    pairs = [(a, b) for a in elements for b in elements]
+    _check_fq_against_tuple_routines(ctx, pairs, (0, 1, 2, q - 2, q - 1, q, 3 * q + 1))
+
+
+def test_fq_matches_tuple_routines_sampled_at_2_16():
+    ctx, rng = gf.default_fq_ctx(2**16), random.Random(61)
+    values = [0, 1, 2**16 - 1] + [rng.randrange(2**16) for _ in range(60)]
+    pairs = [(ctx.element_from_int(v), ctx.element_from_int(rng.choice(values))) for v in values]
+    _check_fq_against_tuple_routines(ctx, pairs, (0, 1, 2**16 - 1, rng.randrange(2**20)))
+
+
+def test_production_paths_never_use_the_tuple_routines(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tuple-polynomial routine was called")
+
+    for name in ("padd", "psub", "pmul", "pdivmod", "pmod", "pmonic", "pgcd"):
+        monkeypatch.setattr(gf, name, refuse)
+    gf.default_fq_ctx(9)
+    for q, n in ((2**16, 3), (4, 6)):
+        factors = gf.factorize(q**n - 1)
+        found = gf.find_primitive_polynomial(gf.default_fq_ctx(q), n, factors, 1)
+        ctx = gf.parse_advice(gf.format_advice(found, factors=factors))
+        assert len(bch.subfield_basis(ctx, n // 3)) == n // 3  # a fresh context: no cached basis
+        assert len(irreducible.index_irreducible(ctx, 3)) == n + 1
+        params, alpha = bch.BchParams(ctx, ctx.order // 2), ctx.element_from_int(q + 2)
+        bch.generator_entry(params, 2, alpha)
+        bch.parity_entry(params, 2, alpha)
+        assert len(gf.minimal_polynomial(ctx, alpha)) == n + 1
 
 
 def test_field_axioms_sampled():

@@ -73,6 +73,17 @@ def test_degree_one_special_case():
     assert irreducible.index_irreducible(f21, 2) == (f21.base.one, f21.base.one)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_degree_one_is_a_bijection_for_every_seed(q):
+    # advice of modulus T (class of T = 0) would map two indices to T
+    base = gf.default_fq_ctx(q)
+    expect = brute_irreducibles(q, 1)
+    for seed in range(20):
+        fctx = _primitive_ctx(q, 1, seed=seed)
+        got = [irreducible.index_irreducible(fctx, i) for i in range(1, q + 1)]
+        assert sorted(got, key=lambda f: gf.poly_to_int(base, f)) == expect, seed
+
+
 def test_advice_independence_of_output_set():
     for q, n in ((2, 3), (2, 4)):
         cnt = irreducible.count_irreducible(q, n)

@@ -15,7 +15,6 @@ from necklaces.programs import (
     build_union,
     build_wraparound,
     count_accepted,
-    serialize,
 )
 from necklaces.words import BinWord, NkString, bin_decode, bin_encode, bits_for
 
@@ -60,6 +59,11 @@ def test_count_accepted_trivial_programs():
 def test_contiguous_examples():
     bp = build_contiguous(bword("10"))
     assert accepted_set(bp) == {(0, 0), (0, 1), (1, 0)}
+    # node numbering is reproducible: reading 0 first completes the witness
+    # "0" at once; reading 1 first matches the threshold prefix and only a
+    # later 0 fires
+    assert bp.arcs == build_contiguous(bword("10")).arcs == [[[0, 1]], [[0, 1], [0, 2]]]
+    assert bp.accepting == {0, 1}
     assert count_accepted(build_contiguous(bword("000"))) == 0
     assert accepts(build_contiguous(bword("110")), (0, 1, 1))
 
@@ -222,25 +226,6 @@ def test_distinct_label_ceiling():
             bp = build_rotation_witness(bin_encode(x), t)
             bound = 4 * (n + 1) ** 2 * (t + 1) ** 2
             assert len(bp.distinct_labels()) <= bound
-
-
-def test_serialize_golden():
-    bp = build_contiguous(bword("10"))
-    # hand-checked: reading 0 first completes the witness "0" immediately;
-    # reading 1 first matches the threshold prefix and only a later 0 fires
-    expected = (
-        "0 0 0 0\n"
-        "0 0 1 1\n"
-        "1 0 0 0\n"
-        "1 0 1 1\n"
-        "1 1 0 0\n"
-        "1 1 1 2\n"
-        "ACCEPT 0\n"
-        "ACCEPT 1\n"
-    )
-    assert serialize(bp) == expected
-    # stable across rebuilds
-    assert serialize(build_contiguous(bword("10"))) == expected
 
 
 def test_every_input_routes_uniquely():
