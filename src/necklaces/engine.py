@@ -28,18 +28,23 @@ shift is resolved: it moves by the border chain alone and never changes its
 mask.  `_transitions` returns the ordered partition of the symbols for
 either kind of state.
 
+A live node with one open shift a is a path: it is reached by one prefix,
+and only the symbol x[a+j] keeps a open (every other symbol fires or closes
+it), so _chain unrolls it in one loop down to the layer where a closes.
+
 count_below walks the O(n^2) live nodes layer by layer, records each
-resolution as an event (symbols left, match length, mask), and charges every
-event once from a backward table over (symbols left, match length) that
-holds all masks side by side in one big integer (_charge_resolved).
-count_below_with_ceiling runs a second automaton on the complemented
-ceiling, merges the two sides' partitions (the ceiling side's reversed) and
-carries its resolved pairs forward, merging equal pairs.
+resolution with r symbols left as an event events[r][(match length, mask)],
+and charges every event once from a backward table over (symbols left, match
+length) that holds all masks side by side in one big integer
+(_charge_resolved).  count_below_with_ceiling runs a second automaton on the
+complemented ceiling, merges the two sides' partitions (the ceiling side's
+reversed) and carries its resolved pairs forward, merging equal pairs.
 """
 
 from .words import NkString, borders, complement
 
 FIRED = None  # outcome of the symbols on which a contiguous witness fires
+_BYTE_OF_BIT = bytes.maketrans(b"01", b"\0\1")  # a binary numeral -> 0/1 bytes
 
 
 class _Tables:
@@ -117,50 +122,96 @@ def _accepts(state):
 
 
 def count_below(digits, q):
-    """#{y in Sigma^n : some rotation of y is lexicographically below digits}."""
+    """#{y in Sigma^n : some rotation of y is lexicographically below digits}.
+
+    Only live nodes with two or more open shifts go through _transitions.
+    """
     n = len(digits)
-    if all(d == 0 for d in digits):
-        return 0
+    if n == 1 or not any(digits):
+        return sum(digits)  # all zero: none; n = 1 has no shift: the symbols below x[0]
     tab = _Tables(tuple(digits), q)
     pow_q = [1] * (n + 1)
     for i in range(1, n + 1):
         pow_q[i] = pow_q[i - 1] * q
 
     # Walk the live nodes; each is reached by one prefix, so every piece
-    # counts its size.  A piece that resolves is recorded as an event
-    # (symbols left, match length, mask) and charged by _charge_resolved.
-    # At n = 1 no shift exists: the start state steps once as it is, and its
-    # resolved pieces, with no symbol left and mask 0, accept nothing.
-    events = {}
+    # counts its size.  Resolved pieces are charged by _charge_resolved.
+    events = [{} for _ in range(n)]
     fired_total = 0
     live = [(0, 0, tuple(range(1, n)))]
     for j in range(n):
-        tail = pow_q[n - j - 1]
+        r = n - j - 1
+        tail, row = pow_q[r], events[r]
         nxt = []
         for state in live:
+            ell, mask, shifts = state
+            if len(shifts) == 1:
+                fired_total += _chain(tab, ell, mask, shifts[0], j, events, pow_q)
+                continue
             for _, size, out in _transitions(tab, state, j):
                 if out is FIRED:
                     fired_total += size * tail
                 elif out[2]:
                     nxt.append(out)
                 else:
-                    key = (n - j - 1, out[0], out[1])
-                    events[key] = events.get(key, 0) + size
+                    key = out[:2]
+                    row[key] = row.get(key, 0) + size
         live = nxt
     return fired_total + _charge_resolved(tab, events, pow_q)
+
+
+def _chain(tab, ell, mask, a, j, events, pow_q):
+    """Fired total of the one-shift node (ell, mask, (a,)) reading symbol j.
+
+    Follows the path to the layer where a closes, recording resolved pieces
+    in events.  With v = x[a+j] and f = fire_above[ell], the symbols below f
+    fire and those above max(v, f) close a above.  If v < f, f closes a above
+    too and the path ends; if v > f, the symbols f..v-1 close a below (f at
+    match length extend[ell]) and v goes on at match length 0; if v = f, it
+    goes on at extend[ell].  Where a + j reaches n, a closes equal.
+    """
+    x, n, q, fire_above, extend = tab.x, tab.n, tab.q, tab.fire_above, tab.extend
+    below = mask | tab.up_mask[a]
+    fired = 0
+    for j in range(j, n - a):
+        r = n - j - 1
+        row = events[r]
+        v, f = x[a + j], fire_above[ell]
+        fired += f * pow_q[r]
+        above = q - 1 - (v if v > f else f)
+        if above:
+            key = (0, mask)
+            row[key] = row.get(key, 0) + above
+        if v < f:
+            key = (extend[ell], mask)
+            row[key] = row.get(key, 0) + 1
+            return fired
+        if v > f:
+            if v > f + 1:
+                key = (0, below)
+                row[key] = row.get(key, 0) + v - f - 1
+            key = (extend[ell], below)
+            row[key] = row.get(key, 0) + 1
+            ell = 0
+        else:
+            ell = extend[ell]
+    key = (ell, mask)
+    row[key] = row.get(key, 0) + 1
+    return fired
 
 
 def _charge_resolved(tab, events, pow_q):
     """Total accepted completions of the resolved states in `events`.
 
-    A resolved state (ell, mask) moves by the border chain alone.  Of the
-    symbols read at match length ell, those below fire_above[ell] fire a
-    contiguous witness; fire_above[ell] itself extends the longest border
-    with that digit; every larger symbol drops to match length 0.  With r
-    symbols left, its accepted completions are F_r[ell], those that fire
-    later, plus those that never fire and end on a match length whose bit is
-    set in the mask.  With f = fire_above[ell], e = extend[ell] and
-    g = q - 1 - f the number of symbols that drop,
+    events[r] maps (ell, mask) to the number of pieces resolved into that
+    state with r symbols left.  A resolved state (ell, mask) moves by the
+    border chain alone.  Of the symbols read at match length ell, those below
+    fire_above[ell] fire a contiguous witness; fire_above[ell] itself extends
+    the longest border with that digit; every larger symbol drops to match
+    length 0.  With r symbols left, its accepted completions are F_r[ell],
+    those that fire later, plus those that never fire and end on a match
+    length whose bit is set in the mask.  With f = fire_above[ell],
+    e = extend[ell] and g = q - 1 - f the number of symbols that drop,
 
         F_0[ell] = 0,  F_r[ell] = f * q^(r-1) + F_(r-1)[e] + g * F_(r-1)[0].
 
@@ -171,37 +222,41 @@ def _charge_resolved(tab, events, pow_q):
         V_0[ell]  has the low bit of slot i set iff bit ell of mask i is set;
         V_r[ell]  = V_(r-1)[e] + g * V_(r-1)[0].
 
-    A slot never exceeds q^r < 2^W, so slots never carry into each other.
-    Two rows are kept at a time.
+    V_0 is one bytearray of n + 1 rows: one strided slice assignment per mask
+    writes its bits, as 0/1 bytes, into the low byte of its slot in every
+    row.  A slot never exceeds q^r < 2^W, so slots never carry into each
+    other.  Two rows are kept at a time.
     """
-    if not events:
+    last = max((r for r, row in enumerate(events) if row), default=0)
+    if not last:
         return 0
     n, q = tab.n, tab.q
-    masks = sorted({mask for _, _, mask in events})
+    masks = sorted({mask for row in events for _, mask in row})
     slot = {mask: i for i, mask in enumerate(masks)}
     wbytes = (pow_q[n].bit_length() + 8) // 8
-    width, top = 8 * wbytes, (1 << 8 * wbytes) - 1
-    by_row = {}
-    for (r, ell, mask), cnt in events.items():
-        by_row.setdefault(r, []).append((ell, slot[mask], cnt))
-
-    row = []
-    for ell in range(n + 1):
-        packed = bytearray(wbytes * len(masks))
-        for i, mask in enumerate(masks):
-            if (mask >> ell) & 1:
-                packed[i * wbytes] = 1
-        row.append(int.from_bytes(packed, "little"))
+    stride = wbytes * len(masks)
+    table = bytearray(stride * (n + 1))
+    for i, mask in enumerate(masks):
+        bits = format(mask, f"0{n + 1}b")[::-1].encode()  # bit ell of mask at position ell
+        table[i * wbytes::stride] = bits.translate(_BYTE_OF_BIT)
+    row = [int.from_bytes(table[at:at + stride], "little")
+           for at in range(0, len(table), stride)]
+    del table  # as large as V_0: freed before V_1 is built
     fired = [0] * (n + 1)
     moves = [(f, e, q - 1 - f) for f, e in zip(tab.fire_above, tab.extend)]
 
     total = 0
-    for r in range(1, max(by_row) + 1):
+    for r in range(1, last + 1):
         tail, zero, fired_zero = pow_q[r - 1], row[0], fired[0]
         row = [row[e] + g * zero for _, e, g in moves[:n - r + 1]]
         fired = [f * tail + fired[e] + g * fired_zero for f, e, g in moves[:n - r + 1]]
-        for ell, i, cnt in by_row.get(r, ()):
-            total += cnt * (fired[ell] + ((row[ell] >> (width * i)) & top))
+        by_ell = {}  # each row[ell] is read as bytes once, one at a time
+        for (ell, mask), cnt in events[r].items():
+            by_ell.setdefault(ell, []).append((wbytes * slot[mask], cnt))
+        for ell, group in by_ell.items():
+            b, f = row[ell].to_bytes(stride, "little"), fired[ell]
+            for at, cnt in group:
+                total += cnt * (f + int.from_bytes(b[at:at + wbytes], "little"))
     return total
 
 

@@ -575,15 +575,26 @@ class FqCtx(_Ext):
         self.zero = ()
         self.one = (1,)
         self.kernel = _Packed(p, g, ((), (1,)))  # an element sits in row 0
+        self._w = self.kernel._bits
+        self._wmask = (1 << self._w) - 1
 
     def __repr__(self):
         return f"FqCtx(p={self.p}, e={self.e})"
 
     def _pack(self, a):
-        return self.kernel.pack((a,))
+        """Coordinate k of a in slot k of row 0, at bit k*W (kernel.pack((a,)))."""
+        v, w = 0, self._w
+        for c in reversed(a):
+            v = (v << w) | c
+        return v
 
     def _unpack(self, x):
-        return self.kernel.unpack(x)[0] if x else ()
+        """Inverse of _pack; the loop stops at the last nonzero coordinate."""
+        out, w, mask = [], self._w, self._wmask
+        while x:
+            out.append(x & mask)
+            x >>= w
+        return tuple(out)
 
 
 def poly_to_int(ctx, f):

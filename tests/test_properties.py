@@ -1,12 +1,16 @@
-"""Property tests over random sizes: unranking then ranking is the identity.
+"""Property tests over random sizes.
+
+Unranking then ranking is the identity, and the engine's one- and two-sided
+counts equal brute force over every word at sizes with q^n <= 4096.
 
 Examples are derandomized, so the suite gives the same result on every run.
 """
 
 import pytest
 
-from necklaces import counting, indexing
-from necklaces.words import fundamental_period, min_rotation
+from conftest import all_words, brute_count_below
+from necklaces import counting, engine, indexing
+from necklaces.words import NkString, fundamental_period, max_rotation, min_rotation
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -27,3 +31,32 @@ def test_unrank_then_rank_is_identity(kind, n, q, data):
         assert indexing.reverse_index_lyndon(word).rank == j
     else:
         assert indexing.reverse_index_necklace(word).rank == j
+
+
+@st.composite
+def _small_size(draw):
+    q = draw(st.integers(2, 7), label="q")
+    n_max = max(n for n in range(1, 13) if q**n <= 4096)
+    return draw(st.integers(1, n_max), label="n"), q
+
+
+def _word(data, n, q, label):
+    return NkString.from_int(n, q, data.draw(st.integers(0, q**n - 1), label=label))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_small_size(), st.data())
+def test_engine_count_matches_brute_force(size, data):
+    n, q = size
+    x = _word(data, n, q, "x")
+    assert engine.count_below(x.digits, q) == brute_count_below(x, dividing=True)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_small_size(), st.data())
+def test_ceiling_count_matches_brute_force(size, data):
+    n, q = size
+    x, cap = _word(data, n, q, "x"), _word(data, n, q, "ceiling")
+    want = sum(1 for y in all_words(n, q)
+               if min_rotation(y)[0].digits < x.digits and max_rotation(y)[0].digits <= cap.digits)
+    assert engine.count_below_with_ceiling(x.digits, cap.digits, q) == want
