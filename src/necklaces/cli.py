@@ -87,7 +87,7 @@ def _load_advice(filename):
 
     try:
         return gf.load_advice(filename)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidAdvice(f"cannot read advice file: {exc}") from exc
 
 

@@ -12,9 +12,12 @@ product is one big-integer multiply (Kronecker substitution) followed by a
 fold of the overflow slots and a slot-wise reduction mod p.  Slots are
 W = 8 * ceil(bits(V * ceil(2^s / p)) / 8) bits wide, with the slot bound
 V = (2n-1)(2e-1) p^2 and 2^s > V p, so neither the product nor the
-reduction carries between slots.  F_q is the kernel's n = 1 case
-F_q[T]/(T), its element in row 0; FqCtx and FqnCtx share one implementation
-(_Ext) that converts once per call, and inverses are a^(size-2).
+reduction carries between slots.  The slot layout lives in _Packed alone:
+pack_row / unpack_row place one F_q element, and pack / unpack and
+from_int / to_int use the same bit offsets.  F_q is the kernel's n = 1 case
+F_q[T]/(T), its element in row 0, converted with pack_row / unpack_row;
+FqCtx and FqnCtx share one implementation (_Ext) that converts once per
+call, and inverses are a^(size-2).
 frobenius, minimal_polynomial and is_irreducible stay packed throughout;
 is_irreducible is Rabin's test with its gcd replaced by a norm (see there).
 The generic tuple-polynomial routines (padd, psub, pmul, pdivmod, pmod,
@@ -385,10 +388,11 @@ class _Packed:
         self.p, self.e, self.n, self.q = p, e, n, p**e
         self._s, self._m, self._wb, self._bits = s, m, wb, W
         self._rowbits, self._rowb = stride * W, stride * wb
+        self._wmask, self._rowmask = (1 << W) - 1, (1 << self._rowbits) - 1
         self._ebytes = n * self._rowb
         self._zbytes = (2 * n - 1) * self._rowb
         in_range = [i * stride + k for i in range(n) for k in range(e)]
-        self._slots = [j * wb for j in in_range]  # byte offsets, in order of i*e + k
+        self._slots = [j * W for j in in_range]  # bit offsets, in order of i*e + k
         self._keep = sum(((1 << W) - 1) << (j * W) for j in in_range)
         self._ps = sum(p << (j * W) for j in in_range)
         low = (1 << (W - s)) - 1
@@ -399,7 +403,7 @@ class _Packed:
         for _ in range(e, stride):
             top, shifted = upow[-1][-1], [0] + upow[-1][:-1]
             upow.append([(c - top * gc) % p for c, gc in zip(shifted, g)])
-        upow = [self.pack((tuple(c),)) for c in upow]
+        upow = [self.pack_row(c) for c in upow]
         # (byte offset, reduced image) of every overflow slot; the images of
         # row i >= n are products whose overflow lies in rows already listed
         self._fold = [(i * self._rowb + k * wb, upow[k] << (i * self._rowbits))
@@ -414,28 +418,34 @@ class _Packed:
                            for k in range(stride)]
         self._frob = None
 
+    def pack_row(self, c):
+        """Packed form of one F_q coordinate tuple c (low first): c[k] at bit k*W."""
+        v, w = 0, self._bits
+        for ck in reversed(c):
+            v = (v << w) | ck
+        return v
+
+    def unpack_row(self, x):
+        """Inverse of pack_row; the loop stops at the last nonzero coordinate."""
+        out, w, mask = [], self._bits, self._wmask
+        while x:
+            out.append(x & mask)
+            x >>= w
+        return tuple(out)
+
     def pack(self, a):
-        """Packed form of a tuple of F_q coordinate tuples (low first)."""
-        buf = bytearray(self._ebytes)
-        wb, rowb = self._wb, self._rowb
-        for i, c in enumerate(a):
-            for k, v in enumerate(c):
-                at = i * rowb + k * wb
-                buf[at:at + wb] = v.to_bytes(wb, "little")
-        return int.from_bytes(buf, "little")
+        """Packed form of a tuple of F_q coordinate tuples (low first): row i at bit i*(2e-1)*W."""
+        v, rowbits, row = 0, self._rowbits, self.pack_row
+        for c in reversed(a):
+            v = (v << rowbits) | row(c)
+        return v
 
     def unpack(self, x):
         """Inverse of pack, trailing zeros stripped at both levels."""
-        b = x.to_bytes(self._ebytes, "little")
-        wb, e = self._wb, self.e
-        out = []
-        for at in range(0, self._ebytes, self._rowb):
-            row = [int.from_bytes(b[o:o + wb], "little") for o in range(at, at + e * wb, wb)]
-            while row and not row[-1]:
-                row.pop()
-            out.append(tuple(row))
-        while out and not out[-1]:
-            out.pop()
+        out, rowbits, mask, row = [], self._rowbits, self._rowmask, self.unpack_row
+        while x:
+            out.append(row(x & mask))
+            x >>= rowbits
         return tuple(out)
 
     def _mod_p(self, x):
@@ -452,17 +462,17 @@ class _Packed:
 
     def from_int(self, v):
         """The element whose coordinate (i, k) is the base-p digit i*e + k of v."""
-        buf, wb = bytearray(self._ebytes), self._wb
+        x, p = 0, self.p
         for at in self._slots:
-            v, c = divmod(v, self.p)
-            buf[at:at + wb] = c.to_bytes(wb, "little")
-        return int.from_bytes(buf, "little")
+            v, c = divmod(v, p)
+            x |= c << at
+        return x
 
     def to_int(self, x):
         """Inverse of from_int."""
-        b, wb, v = x.to_bytes(self._ebytes, "little"), self._wb, 0
+        v, p, mask = 0, self.p, self._wmask
         for at in reversed(self._slots):
-            v = v * self.p + int.from_bytes(b[at:at + wb], "little")
+            v = v * p + (x >> at & mask)
         return v
 
     def add(self, x, y):
@@ -575,26 +585,10 @@ class FqCtx(_Ext):
         self.zero = ()
         self.one = (1,)
         self.kernel = _Packed(p, g, ((), (1,)))  # an element sits in row 0
-        self._w = self.kernel._bits
-        self._wmask = (1 << self._w) - 1
+        self._pack, self._unpack = self.kernel.pack_row, self.kernel.unpack_row
 
     def __repr__(self):
         return f"FqCtx(p={self.p}, e={self.e})"
-
-    def _pack(self, a):
-        """Coordinate k of a in slot k of row 0, at bit k*W (kernel.pack((a,)))."""
-        v, w = 0, self._w
-        for c in reversed(a):
-            v = (v << w) | c
-        return v
-
-    def _unpack(self, x):
-        """Inverse of _pack; the loop stops at the last nonzero coordinate."""
-        out, w, mask = [], self._w, self._wmask
-        while x:
-            out.append(x & mask)
-            x >>= w
-        return tuple(out)
 
 
 def poly_to_int(ctx, f):

@@ -1,9 +1,11 @@
 """Layered read-once branching programs for rotation-threshold languages.
 
 A program reads a fixed-length word one symbol per layer and follows a
-deterministic arc; the accepted-word count is computed exactly by a forward
-pass with big-integer accumulators per node (the graph is layered, so a
-single pass is exact).
+deterministic arc; every node has an arc for every symbol, so no program is
+partial.  The accepted-word count is computed exactly by a forward pass with
+big-integer accumulators per node (the graph is layered, so a single pass is
+exact).  Every program, the union and intersection products included, is
+built by one breadth-first construction (_build_layered).
 
 The language of interest: words with some rotation strictly below a
 threshold x.  It splits as the union of
@@ -39,7 +41,7 @@ class BranchingProgram:
     num_layers: int
     alphabet_size: int
     layers: list = field(repr=False)  # layers[j]: list of node labels
-    arcs: list = field(repr=False)  # arcs[j][i][sym] -> index at layer j+1 | None
+    arcs: list = field(repr=False)  # arcs[j][i][sym] -> index at layer j+1
     accepting: frozenset  # indices into layers[num_layers]
 
     def distinct_labels(self):
@@ -56,8 +58,7 @@ def count_accepted(bp):
         for i, c in enumerate(counts):
             if c:
                 for dst in row[i]:
-                    if dst is not None:
-                        nxt[dst] += c
+                    nxt[dst] += c
         counts = nxt
     return sum(counts[i] for i in bp.accepting)
 
@@ -69,8 +70,6 @@ def accepts(bp, symbols):
     node = 0
     for j, s in enumerate(symbols):
         node = bp.arcs[j][node][s]
-        if node is None:
-            return False
     return node in bp.accepting
 
 
@@ -314,42 +313,17 @@ def _combine(a, b, accept_rule):
     if a.alphabet_size != b.alphabet_size:
         raise LayerMismatch("cannot combine programs over different alphabets")
 
-    n = a.num_layers
-    layers = [[(0, 0)]]
-    arcs = []
-    for j in range(n):
-        nxt_index = {}
-        nxt_labels = []
-        rows = []
-        for (ia, ib) in layers[j]:
-            row = []
-            for sym in range(a.alphabet_size):
-                da = a.arcs[j][ia][sym]
-                db = b.arcs[j][ib][sym]
-                if da is None or db is None:
-                    row.append(None)
-                    continue
-                key = (da, db)
-                i2 = nxt_index.get(key)
-                if i2 is None:
-                    i2 = len(nxt_labels)
-                    nxt_index[key] = i2
-                    nxt_labels.append(key)
-                row.append(i2)
-            rows.append(row)
-        arcs.append(rows)
-        layers.append(nxt_labels)
-    accepting = frozenset(
-        i
-        for i, (ia, ib) in enumerate(layers[-1])
-        if accept_rule(ia in a.accepting, ib in b.accepting)
-    )
+    def step(label, sym, j):
+        return a.arcs[j][label[0]][sym], b.arcs[j][label[1]][sym]
+
+    def accept(label):
+        return accept_rule(label[0] in a.accepting, label[1] in b.accepting)
+
+    bp = _build_layered(a.num_layers, a.alphabet_size, (0, 0), step, accept)
     # expose the underlying labels so products stay inspectable
-    out_layers = [
-        [(a.layers[j][ia], b.layers[j][ib]) for ia, ib in layer]
-        for j, layer in enumerate(layers)
-    ]
-    return BranchingProgram(n, a.alphabet_size, out_layers, arcs, accepting)
+    bp.layers = [[(a.layers[j][ia], b.layers[j][ib]) for ia, ib in layer]
+                 for j, layer in enumerate(bp.layers)]
+    return bp
 
 
 def build_union(a, b):
@@ -381,9 +355,7 @@ def build_alphabet_restriction(n, t, q):
                 return "dead"
         else:
             nxt = "lt"
-        if (j + 1) % t == 0:
-            return "eq" if nxt in ("eq", "lt") else "dead"
-        return nxt
+        return "eq" if (j + 1) % t == 0 else nxt
 
     return _build_layered(t * n, 2, "eq", step, lambda lab: lab == "eq")
 

@@ -134,13 +134,14 @@ def borders(s):
 
 
 def fundamental_period(x):
-    """Smallest p with x equal to n/p copies of its length-p prefix; divides n."""
+    """Smallest p with x equal to n/p copies of its length-p prefix; divides n.
+
+    The least period p0 is n minus the longest border.  By Fine-Wilf, p0 divides
+    every period d | n below n, so if p0 does not divide n, the answer is n.
+    """
     n = x.n
-    d = x.digits
-    for p in range(1, n + 1):
-        if n % p == 0 and all(d[i] == d[i % p] for i in range(p, n)):
-            return p
-    raise AssertionError("unreachable: n is always a period")
+    p = n - borders(x.digits)[n]
+    return p if n % p == 0 else n
 
 
 def _least_rotation_start(s):

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from necklaces import bch, gf
-from necklaces.errors import InvariantViolated, NotADivisor, TooBig, ZeroColumn
+from necklaces.errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
 from necklaces.words import NkString
 
 
@@ -120,6 +120,35 @@ def test_generator_entries_lie_in_base_field(f8):
             for c in range(8):
                 val = bch.generator_entry(params, r, bch.column_element(f8, c))
                 assert val in ((), (1,))
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (2, 6), (3, 4), (4, 2)])
+def test_generator_value_refuses_an_entry_outside_the_base_field(q, n):
+    """A basis element outside F_{q^s} makes the orbit sum leave F_q, and that raises.
+
+    With beta = T (primitive, so not in F_{q^s} for s < n) and alpha = g^0 = 1,
+    gamma = T and Frob(T + T^q + ... + T^(q^(s-1))) differs from it by
+    T^(q^s) - T != 0.
+    """
+    base = gf.default_fq_ctx(q)
+    ctx = gf.find_primitive_polynomial(base, n, gf.factorize(q**n - 1), rng_seed=7)
+    order = ctx.order
+    orbits = []
+    for m in range(1, order):
+        members = {m * q**k % order for k in range(n)}
+        if min(members) == m and len(members) < n:
+            orbits.append(bch.OrbitSet(m, len(members)))
+    assert orbits
+    columns = [bch.column_element(ctx, c) for c in range(ctx.size)]
+    for orbit in orbits:
+        for j in range(1, orbit.size + 1):
+            for alpha in columns:
+                bch.generator_value(ctx, (orbit, j), alpha)  # the true basis never raises
+        true_basis = ctx.subfield_bases[orbit.size]
+        ctx.subfield_bases[orbit.size] = (ctx.generator,)
+        with pytest.raises(NotInBaseField):
+            bch.generator_value(ctx, (orbit, 1), bch.column_element(ctx, 1))
+        ctx.subfield_bases[orbit.size] = true_basis
 
 
 def test_generator_entry_examples(f8):

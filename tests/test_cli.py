@@ -187,6 +187,15 @@ def test_element_coefficients_outside_the_prime_field_are_refused(capsys, advice
     assert run(capsys, *argv) == (2, "", f"error: coefficient {bad} outside 0..1\n")
 
 
+@pytest.mark.parametrize("command", ["irred index 2 4 1 --advice BAD", "bch rows --advice BAD --d 5"])
+def test_non_ascii_advice_file_is_invalid_advice(capsys, tmp_path, command):
+    path = tmp_path / "BAD"
+    path.write_bytes(b"\xff\xfe\n")
+    code, out, err = run(capsys, *split(command, {"BAD": str(path)}))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot read advice file: 'ascii' codec can't decode byte 0xff")
+
+
 _GUARD = """
 import sys
 from necklaces import cli

@@ -8,6 +8,7 @@ from necklaces.errors import (
     ConjugatesCollide,
     InvalidAdvice,
 )
+from test_gf_packed import FIELDS
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +279,79 @@ def test_kernel_basis():
         for coeff, v in zip(rows[0], vec):
             s = f3.add(s, f3.mul(coeff, v))
         assert s == f3.zero
+
+
+# The packed conversions as they were written on a bytearray, slot (i, k) at
+# byte i*(2e-1)*wb + k*wb: the reference for _Packed's shift-based ones.
+
+
+def _ref_pack(kernel, a):
+    buf, wb, rowb = bytearray(kernel._ebytes), kernel._wb, kernel._rowb
+    for i, c in enumerate(a):
+        for k, v in enumerate(c):
+            at = i * rowb + k * wb
+            buf[at:at + wb] = v.to_bytes(wb, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _ref_unpack(kernel, x):
+    b, wb, out = x.to_bytes(kernel._ebytes, "little"), kernel._wb, []
+    for at in range(0, kernel._ebytes, kernel._rowb):
+        row = [int.from_bytes(b[o:o + wb], "little") for o in range(at, at + kernel.e * wb, wb)]
+        while row and not row[-1]:
+            row.pop()
+        out.append(tuple(row))
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _ref_slots(kernel):
+    return [i * kernel._rowb + k * kernel._wb for i in range(kernel.n) for k in range(kernel.e)]
+
+
+def _ref_from_int(kernel, v):
+    buf, wb = bytearray(kernel._ebytes), kernel._wb
+    for at in _ref_slots(kernel):
+        v, c = divmod(v, kernel.p)
+        buf[at:at + wb] = c.to_bytes(wb, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _ref_to_int(kernel, x):
+    b, wb, v = x.to_bytes(kernel._ebytes, "little"), kernel._wb, 0
+    for at in reversed(_ref_slots(kernel)):
+        v = v * kernel.p + int.from_bytes(b[at:at + wb], "little")
+    return v
+
+
+def _check_conversions(ctx, rng, as_rows):
+    """ctx's packed conversions equal the bytearray ones on random elements and products."""
+    kernel = ctx.kernel
+    values = [0, 1, ctx.size - 1] + [rng.randrange(ctx.size) for _ in range(40)]
+    elements = []
+    for v in values:
+        x = kernel.from_int(v)
+        assert x == _ref_from_int(kernel, v)
+        assert kernel.to_int(x) == _ref_to_int(kernel, x) == v
+        a = ctx.element_from_int(v)
+        assert as_rows(a) == _ref_unpack(kernel, x)
+        assert ctx._pack(a) == _ref_pack(kernel, as_rows(a)) == x
+        assert ctx.element_to_int(a) == v
+        elements.append(x)
+    for x, y in zip(elements, elements[1:]):
+        z = kernel.mul(x, y)
+        assert as_rows(ctx._unpack(z)) == _ref_unpack(kernel, z)
+
+
+@pytest.mark.parametrize("q, n", FIELDS)
+def test_fqn_conversions_match_bytearray_reference(q, n):
+    base = gf.default_fq_ctx(q)
+    ctx = gf.find_primitive_polynomial(base, n, gf.factorize(q**n - 1), 1)
+    _check_conversions(ctx, random.Random(q * 100 + n), lambda a: a)
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 2**16, 343])
+def test_fq_conversions_match_bytearray_reference(q):
+    ctx = gf.default_fq_ctx(q)
+    _check_conversions(ctx, random.Random(q), lambda a: (a,) if a else ())

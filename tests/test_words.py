@@ -52,11 +52,14 @@ def test_fundamental_period_examples():
 
 
 def test_period_divides_length_and_counts_rotations():
-    for n in range(1, 9):
-        for x in all_words(n, 2):
-            p = fundamental_period(x)
-            assert n % p == 0
-            assert len({rotate(x, i).digits for i in range(n)}) == p
+    for q, max_n in ((2, 8), (3, 6)):
+        for n in range(1, max_n + 1):
+            for x in all_words(n, q):
+                p = fundamental_period(x)
+                assert n % p == 0
+                assert p == min(d for d in range(1, n + 1)
+                                if n % d == 0 and x.digits == x.digits[:d] * (n // d))
+                assert len({rotate(x, i).digits for i in range(n)}) == p
 
 
 def test_min_rotation_examples():
