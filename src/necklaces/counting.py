@@ -10,9 +10,9 @@ The quantities: for a threshold word x of length n and a divisor p of n,
     the exact counts weighted by 1/orbit-size;
   * count_lyndon_below(x): orbits of full size n below x.
 
-For p = n the dividing count is the accepted-word count of the rotation
-automaton, which `engine.count_below` evaluates arithmetically (polynomial
-in n and log q); for p < n a word with orbit size dividing p is a
+For p = n the dividing count is `engine.count_below`: a count of closed
+walks on the KMP path of the least prenecklace at or above x, n(n-1)/2
+big-integer multiply-adds; for p < n a word with orbit size dividing p is a
 repetition of a length-p block, and the count reduces to a length-p
 instance plus an easily decided correction of one extra orbit.
 

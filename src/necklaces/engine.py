@@ -1,13 +1,39 @@
 """Exact counting of words with a rotation below (or above) a threshold.
 
-Counts #{y in Sigma^n : some rotation of y < x} without enumerating the
-alphabet: at every step the symbol space {0, ..., q-1} is split into the few
-intervals on which the transition is constant, and each interval contributes
-its size (an exact big integer) as a multiplicity.  This keeps the work
+count_below counts #{y in Sigma^n : some rotation of y < x}, and
+count_below_with_ceiling those with no rotation above a ceiling as well.
+Sets of symbols enter as their sizes, exact big integers, so the work is
 polynomial in n and log q.
 
-The automaton decides "some rotation of y is strictly below x" as the union
-of two events:
+count_below replaces x by a, the least prenecklace >= x, with p the least
+period of a, and counts closed walks (Kociumaka, Radoszewski and Rytter,
+CPM 2014; Sawada and Williams, JDA 2017):
+
+  1. Only the necklaces (least rotations) below x matter, and none lies in
+     [x, a), since a necklace is a prenecklace: x and a count the same words.
+  2. Each border b of a[:k] has a[b] <= a[k], so the KMP automaton of a is a
+     path.  At state k the symbol a[k] extends the match, the
+     g_k = q - 1 - a[k] larger symbols reset it to 0, and the smaller ones
+     complete a witness a[:k]c < a[:k+1].  At length n the path goes on as
+     at n - p, a's longest border.
+  3. A word y has no rotation below a iff yy has no witness.  Then the state
+     after each copy of y is the longest suffix of y shorter than n that is
+     a prefix of a.  So these words are exactly the witness-free closed
+     walks of length n, each counted once at its start state s.
+  4. A walk without a reset stays on the cycle n - p, ..., n - 1, so there
+     are p of them if p | n and none otherwise.  Cut a walk with a reset at
+     its first reset.  After the cut it goes from 0 back to 0, empty or
+     ending with a reset, in one of f_L ways of length L (f_0 = 1,
+     f_L = sum_{k<L} g_k f_(L-1-k)), then runs from 0 to s.  Before the cut
+     it runs from s to m = n - 1 - L and takes one of g_m resets.  The two
+     runs join into the run 0 -> m, and s is any of its n - L states.
+
+So the count is q^n - sum_{L<n} (n - L) g_(n-1-L) f_L - (p if p | n else 0),
+with n(n - 1)/2 multiply-adds for the f_L and no special case.
+
+count_below_with_ceiling runs, on x and on the complemented ceiling, an
+automaton that decides "some rotation of y is strictly below x" as the
+union of two events:
 
   * contiguous: y contains a substring x[0:m]c with c < x[m] (the rotation
     through that substring drops below x while still inside the copied part);
@@ -26,25 +52,17 @@ gives the node's children; any other symbol closes every comparison, and a
 running OR of the groups above it gives its mask.  A state with no open
 shift is resolved: it moves by the border chain alone and never changes its
 mask.  `_transitions` returns the ordered partition of the symbols for
-either kind of state.
-
-A live node with one open shift a is a path: it is reached by one prefix,
-and only the symbol x[a+j] keeps a open (every other symbol fires or closes
-it), so _chain unrolls it in one loop down to the layer where a closes.
-
-count_below walks the O(n^2) live nodes layer by layer, records each
-resolution with r symbols left as an event events[r][(match length, mask)],
-and charges every event once from a backward table over (symbols left, match
-length) that holds all masks side by side in one big integer
-(_charge_resolved).  count_below_with_ceiling runs a second automaton on the
-complemented ceiling, merges the two sides' partitions (the ceiling side's
-reversed) and carries its resolved pairs forward, merging equal pairs.
+either kind of state, the intervals on which its move is constant.  The
+count walks the two sides' O(n^2) live nodes layer by layer, merges their
+partitions (the ceiling side's reversed) and carries resolved pairs
+forward, merging equal pairs.
 """
 
-from .words import NkString, borders, complement
+from operator import mul
+
+from .words import NkString, borders, complement, prenecklace_at_least
 
 FIRED = None  # outcome of the symbols on which a contiguous witness fires
-_BYTE_OF_BIT = bytes.maketrans(b"01", b"\0\1")  # a binary numeral -> 0/1 bytes
 
 
 class _Tables:
@@ -122,142 +140,15 @@ def _accepts(state):
 
 
 def count_below(digits, q):
-    """#{y in Sigma^n : some rotation of y is lexicographically below digits}.
-
-    Only live nodes with two or more open shifts go through _transitions.
-    """
-    n = len(digits)
-    if n == 1 or not any(digits):
-        return sum(digits)  # all zero: none; n = 1 has no shift: the symbols below x[0]
-    tab = _Tables(tuple(digits), q)
-    pow_q = [1] * (n + 1)
-    for i in range(1, n + 1):
-        pow_q[i] = pow_q[i - 1] * q
-
-    # Walk the live nodes; each is reached by one prefix, so every piece
-    # counts its size.  Resolved pieces are charged by _charge_resolved.
-    events = [{} for _ in range(n)]
-    fired_total = 0
-    live = [(0, 0, tuple(range(1, n)))]
-    for j in range(n):
-        r = n - j - 1
-        tail, row = pow_q[r], events[r]
-        nxt = []
-        for state in live:
-            ell, mask, shifts = state
-            if len(shifts) == 1:
-                fired_total += _chain(tab, ell, mask, shifts[0], j, events, pow_q)
-                continue
-            for _, size, out in _transitions(tab, state, j):
-                if out is FIRED:
-                    fired_total += size * tail
-                elif out[2]:
-                    nxt.append(out)
-                else:
-                    key = out[:2]
-                    row[key] = row.get(key, 0) + size
-        live = nxt
-    return fired_total + _charge_resolved(tab, events, pow_q)
-
-
-def _chain(tab, ell, mask, a, j, events, pow_q):
-    """Fired total of the one-shift node (ell, mask, (a,)) reading symbol j.
-
-    Follows the path to the layer where a closes, recording resolved pieces
-    in events.  With v = x[a+j] and f = fire_above[ell], the symbols below f
-    fire and those above max(v, f) close a above.  If v < f, f closes a above
-    too and the path ends; if v > f, the symbols f..v-1 close a below (f at
-    match length extend[ell]) and v goes on at match length 0; if v = f, it
-    goes on at extend[ell].  Where a + j reaches n, a closes equal.
-    """
-    x, n, q, fire_above, extend = tab.x, tab.n, tab.q, tab.fire_above, tab.extend
-    below = mask | tab.up_mask[a]
-    fired = 0
-    for j in range(j, n - a):
-        r = n - j - 1
-        row = events[r]
-        v, f = x[a + j], fire_above[ell]
-        fired += f * pow_q[r]
-        above = q - 1 - (v if v > f else f)
-        if above:
-            key = (0, mask)
-            row[key] = row.get(key, 0) + above
-        if v < f:
-            key = (extend[ell], mask)
-            row[key] = row.get(key, 0) + 1
-            return fired
-        if v > f:
-            if v > f + 1:
-                key = (0, below)
-                row[key] = row.get(key, 0) + v - f - 1
-            key = (extend[ell], below)
-            row[key] = row.get(key, 0) + 1
-            ell = 0
-        else:
-            ell = extend[ell]
-    key = (ell, mask)
-    row[key] = row.get(key, 0) + 1
-    return fired
-
-
-def _charge_resolved(tab, events, pow_q):
-    """Total accepted completions of the resolved states in `events`.
-
-    events[r] maps (ell, mask) to the number of pieces resolved into that
-    state with r symbols left.  A resolved state (ell, mask) moves by the
-    border chain alone.  Of the symbols read at match length ell, those below
-    fire_above[ell] fire a contiguous witness; fire_above[ell] itself extends
-    the longest border with that digit; every larger symbol drops to match
-    length 0.  With r symbols left, its accepted completions are F_r[ell],
-    those that fire later, plus those that never fire and end on a match
-    length whose bit is set in the mask.  With f = fire_above[ell],
-    e = extend[ell] and g = q - 1 - f the number of symbols that drop,
-
-        F_0[ell] = 0,  F_r[ell] = f * q^(r-1) + F_(r-1)[e] + g * F_(r-1)[0].
-
-    F_r does not depend on the mask.  The second part is computed for every
-    mask at once: each mask gets a slot of W bits in one big integer, and
-    V_r[ell] holds all slots,
-
-        V_0[ell]  has the low bit of slot i set iff bit ell of mask i is set;
-        V_r[ell]  = V_(r-1)[e] + g * V_(r-1)[0].
-
-    V_0 is one bytearray of n + 1 rows: one strided slice assignment per mask
-    writes its bits, as 0/1 bytes, into the low byte of its slot in every
-    row.  A slot never exceeds q^r < 2^W, so slots never carry into each
-    other.  Two rows are kept at a time.
-    """
-    last = max((r for r, row in enumerate(events) if row), default=0)
-    if not last:
-        return 0
-    n, q = tab.n, tab.q
-    masks = sorted({mask for row in events for _, mask in row})
-    slot = {mask: i for i, mask in enumerate(masks)}
-    wbytes = (pow_q[n].bit_length() + 8) // 8
-    stride = wbytes * len(masks)
-    table = bytearray(stride * (n + 1))
-    for i, mask in enumerate(masks):
-        bits = format(mask, f"0{n + 1}b")[::-1].encode()  # bit ell of mask at position ell
-        table[i * wbytes::stride] = bits.translate(_BYTE_OF_BIT)
-    row = [int.from_bytes(table[at:at + stride], "little")
-           for at in range(0, len(table), stride)]
-    del table  # as large as V_0: freed before V_1 is built
-    fired = [0] * (n + 1)
-    moves = [(f, e, q - 1 - f) for f, e in zip(tab.fire_above, tab.extend)]
-
-    total = 0
-    for r in range(1, last + 1):
-        tail, zero, fired_zero = pow_q[r - 1], row[0], fired[0]
-        row = [row[e] + g * zero for _, e, g in moves[:n - r + 1]]
-        fired = [f * tail + fired[e] + g * fired_zero for f, e, g in moves[:n - r + 1]]
-        by_ell = {}  # each row[ell] is read as bytes once, one at a time
-        for (ell, mask), cnt in events[r].items():
-            by_ell.setdefault(ell, []).append((wbytes * slot[mask], cnt))
-        for ell, group in by_ell.items():
-            b, f = row[ell].to_bytes(stride, "little"), fired[ell]
-            for at, cnt in group:
-                total += cnt * (f + int.from_bytes(b[at:at + wbytes], "little"))
-    return total
+    """#{y in Sigma^n : some rotation of y is lexicographically below digits}."""
+    a, p = prenecklace_at_least(digits)
+    n = len(a)
+    g = [q - 1 - d for d in a]
+    f = [1]
+    for _ in range(1, n):
+        f.append(sum(map(mul, g, reversed(f))))  # sum_{k<L} g_k f_(L-1-k), L = len(f)
+    resets = sum((n - L) * g[n - 1 - L] * f[L] for L in range(n))
+    return q**n - resets - (p if n % p == 0 else 0)
 
 
 def _pair_moves(lo, hi, pair, j):

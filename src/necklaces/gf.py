@@ -420,8 +420,10 @@ class _Packed:
 
     def pack_row(self, c):
         """Packed form of one F_q coordinate tuple c (low first): c[k] at bit k*W."""
-        v, w = 0, self._bits
+        v, w, p = 0, self._bits, self.p
         for ck in reversed(c):
+            if not 0 <= ck < p:  # else reduced or carried silently
+                raise ValueError(f"coordinate {ck} outside 0..{p - 1}")
             v = (v << w) | ck
         return v
 

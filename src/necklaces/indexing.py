@@ -7,12 +7,13 @@ representative.  The first digit comes from a closed form; the rest is an
 interpolation search on the orbit count, which is smooth at the scale of
 the whole interval, safeguarded so that it never takes more than two probes
 beyond bisection.  Each probe is rounded, within the search's slack, to the
-word with the longest run of trailing zeros, which the engine counts below
-fastest.  Once at most n orbits remain in the bracket the search stops
-counting and steps through them with the FKM successor (Ruskey, Savage and
-Wang, J. Algorithms 1992); n successor steps cost about as much as one
-count.  Ranking counts the orbits below the canonical rotation.  Ranks are
-1-based.
+word with the longest run of trailing zeros; such probes share period
+blocks, so counting's memo answers more of their divisor fan-out (at n = 32,
+q = 2, 12.7 engine counts per unrank against 17.1 unrounded).  Once at most
+n orbits remain in the bracket the search stops counting and steps through
+them with the FKM successor (Ruskey, Savage and Wang, J. Algorithms 1992):
+n steps cost less than one probe, and the search would need about log2 n.
+Ranking counts the orbits below the canonical rotation.  Ranks are 1-based.
 """
 
 from . import counting
@@ -113,12 +114,14 @@ def _search(n, q, j, below, total, head=None, weight=None):
     2^(budget-k-1) wide, with budget = n * ceil(log2 q) + 2.  The probe is
     then the multiple of the largest power of q within delta of that point
     and inside the window, nearest to it: a word ending in a long run of
-    zeros is cheap to count below.  It never leaves the window, so no input
-    takes more than `budget` probes: bisection's worst case plus two.
+    zeros shares its period blocks with nearby probes, so `below`'s memo
+    answers more of its divisor fan-out.  It never leaves the window, so no
+    input takes more than `budget` probes: bisection's worst case plus two.
 
     With a weight, the search stops probing once below_hi - below_lo <= n
     and walks from lo to the necklace at which the weights reach
-    j - below_lo; n successor steps cost about as much as one count.
+    j - below_lo; n successor steps cost less than one probe, and the
+    search would need about log2 n more.
     """
     budget = n * (q - 1).bit_length() + 2
     lo, hi, below_lo, below_hi = 0, q**n, 0, total

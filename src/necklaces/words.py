@@ -182,8 +182,10 @@ def prenecklace_at_least(digits):
     """Smallest prenecklace >= digits, as a digit list, with its period.
 
     A prenecklace is a prefix of some necklace; its period is the length of
-    its longest Lyndon prefix.  One FKM scan keeps the period p of the prefix
-    read so far: a digit above a[i-p] makes the prefix
+    its longest Lyndon prefix.  That is also its least period, since a
+    prenecklace is a power of that Lyndon word followed by a prefix of it;
+    engine.count_below relies on this.  One FKM scan keeps the period p of
+    the prefix read so far: a digit above a[i-p] makes the prefix
     Lyndon (p = i+1), an equal one keeps p, and the first digit below a[i-p]
     is where every word sharing the prefix stops being a prenecklace; raising
     it to a[i-p] and extending with period p gives the least one above.

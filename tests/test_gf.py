@@ -57,6 +57,16 @@ def test_f4_arithmetic():
         f4.inv(())
 
 
+@pytest.mark.parametrize("c", [3, 65536, -1])
+def test_out_of_range_coordinate_is_refused(f2, f8, c):
+    # unchecked, 3 was reduced to 1, 65536 carried into T's slot and -1
+    # raised OverflowError
+    with pytest.raises(ValueError):
+        f8.mul(((c,),), f8.one)
+    with pytest.raises(ValueError):
+        f2.add((c,), ())
+
+
 def _check_fq_against_tuple_routines(ctx, pairs, exponents):
     """FqCtx arithmetic (the packed kernel) against the generic tuple routines over F_p."""
     fp, g = ctx.base, ctx.g

@@ -1,11 +1,15 @@
-"""The one-shift chain of engine.count_below against the plain trie walk.
+"""engine.count_below, the closed-walk count on the path ("chain") automaton
+of the least prenecklace, against two independent references.
 
-The reference walks every live node through engine._transitions, as the
-engine did before one-shift nodes were unrolled by engine._chain.  Both walks
-must record the same resolved events and give the same count.
+The reference walk is count_below_with_ceiling under the all-top ceiling,
+which excludes no word: it walks the substring trie of the threshold itself
+and shares no code with count_below.  Brute force over every word checks
+both at short sizes.
 """
 
+import itertools
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -14,26 +18,8 @@ from necklaces.words import NkString, min_rotation
 
 
 def reference_walk(digits, q):
-    """(count, events) with every live node split by _transitions."""
-    n = len(digits)
-    tab = engine._Tables(tuple(digits), q)
-    pow_q = [q**i for i in range(n + 1)]
-    events = [{} for _ in range(n)]
-    fired_total = 0
-    live = [(0, 0, tuple(range(1, n)))]
-    for j in range(n):
-        r = n - j - 1
-        nxt = []
-        for state in live:
-            for _, size, out in engine._transitions(tab, state, j):
-                if out is engine.FIRED:
-                    fired_total += size * pow_q[r]
-                elif out[2]:
-                    nxt.append(out)
-                else:
-                    events[r][out[:2]] = events[r].get(out[:2], 0) + size
-        live = nxt
-    return fired_total + engine._charge_resolved(tab, events, pow_q), events
+    """The trie pair walk's count of words with a rotation below digits."""
+    return engine.count_below_with_ceiling(digits, (q - 1,) * len(digits), q)
 
 
 def _canonical(n, q, digits):
@@ -51,7 +37,7 @@ def _thresholds():
         for p in (1, 2, 3, 4, 5):  # periodic
             block = [rng.randrange(q) for _ in range(p)]
             out.append((q, tuple(block * (n // p) + block[:n % p])))
-    q = 2**20  # digits 0 and 1 only: long borders and steps on fire_above
+    q = 2**20  # digits 0 and 1 only: long borders and long runs of resets
     for n in (8, 16, 24, 32):
         for _ in range(8):
             digits = [rng.randrange(2) for _ in range(n)]
@@ -70,22 +56,15 @@ def test_threshold_set_is_large_enough():
 
 @pytest.mark.parametrize("q, digits", [
     pytest.param(q, digits, id=f"{i}-n{len(digits)}") for i, (q, digits) in enumerate(THRESHOLDS)])
-def test_chain_matches_reference_walk(q, digits, monkeypatch):
-    want, want_events = reference_walk(digits, q)
-    charge, seen = engine._charge_resolved, []
-
-    def spy(tab, events, pow_q):
-        seen.append(events)
-        return charge(tab, events, pow_q)
-
-    monkeypatch.setattr(engine, "_charge_resolved", spy)
-    assert engine.count_below(digits, q) == want
-    if any(digits) and len(digits) > 1:
-        assert seen == [want_events]
+def test_chain_matches_reference_walk(q, digits):
+    assert engine.count_below(digits, q) == reference_walk(digits, q)
 
 
-def test_chain_handles_every_short_binary_and_ternary_word():
-    for n, q in ((1, 3), (2, 3), (3, 2), (4, 3), (6, 2)):
-        for v in range(q**n):
-            digits = NkString.from_int(n, q, v).digits
-            assert engine.count_below(digits, q) == reference_walk(digits, q)[0], digits
+def test_count_below_matches_brute_force_on_every_short_word():
+    """Every threshold of every size up to n = 10 at q = 2, 6 at q = 3, 4 at q = 4, 5."""
+    for q, top in ((2, 10), (3, 6), (4, 4), (5, 4)):
+        for n in range(1, top + 1):
+            words = list(itertools.product(range(q), repeat=n))
+            least = sorted(min((y + y)[s:s + n] for s in range(n)) for y in words)
+            for x in words:
+                assert engine.count_below(x, q) == bisect_left(least, x), (x, q)

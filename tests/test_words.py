@@ -198,13 +198,16 @@ def test_prenecklace_at_least_matches_brute_force(n, q):
     # A prenecklace is a prefix of a necklace; one with period p is a prefix
     # of its periodic extension to length p*ceil(n/p) < 2n, so the prefixes
     # of the necklaces of lengths n..2n-1 are all of them.
-    # Its period is the length of its longest Lyndon prefix.
+    # Its period is the length of its longest Lyndon prefix, and its least
+    # period, which engine.count_below relies on.
     pre = sorted({rep.digits[:n] for m in range(n, 2 * n) for rep, _ in brute_orbits(m, q)})
     for word in all_words(n, q):
         least = pre[bisect.bisect_left(pre, word.digits)]
         a, period = prenecklace_at_least(word.digits)
         assert tuple(a) == least, word
         assert period == max(p for p in range(1, n + 1) if _is_lyndon(least[:p])), word
+        assert period == min(p for p in range(1, n + 1)
+                             if all(least[i] == least[i - p] for i in range(p, n))), word
 
 
 def _is_lyndon(s):
