@@ -13,8 +13,9 @@ The quantities: for a threshold word x of length n and a divisor p of n,
 For p = n the dividing count is `engine.count_below`: a count of closed
 walks on the KMP path of the least prenecklace at or above x, n(n-1)/2
 big-integer multiply-adds; for p < n a word with orbit size dividing p is a
-repetition of a length-p block, and the count reduces to a length-p
-instance plus an easily decided correction of one extra orbit.
+power of a length-p block, and the count is the length-p count at the first
+p digits of the least prenecklace >= x, plus one orbit when those digits are
+a necklace of smaller period than the prenecklace's.
 
 The paper's read-once branching programs over the binary expansion of the
 alphabet count the same p = n quantity; they are materialized only as a
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 from . import engine
 from .errors import InvariantViolated, NotADivisor
-from .words import NkString, fundamental_period, min_rotation
+from .words import NkString, prenecklace_at_least
 
 
 def divisors(n):
@@ -85,28 +86,23 @@ def orbits_below_digit(n, q, d, lyndon=False):
 
 @lru_cache(maxsize=4096)
 def _count_dividing_cached(digits, q, p):
-    n = len(digits)
-    if all(d == 0 for d in digits):
-        return 0
-    if p == n:
+    if p == len(digits):
         return engine.count_below(digits, q)
 
-    # Words with orbit size dividing p < n are repetitions of a length-p
-    # block a.  Their orbit is below x either because the block's own orbit
-    # is below the first block of x, or because all blocks of x up to some
-    # run boundary equal the repeated block and the next block of x exceeds
-    # it; the latter adds the orbit of x's first block, provided that block
-    # is not already counted (it is its own minimal rotation).
-    head = digits[:p]
-    count = _count_dividing_cached(head, q, p)
-    blocks = [digits[i:i + p] for i in range(0, n, p)]
-    run = 1
-    while run < len(blocks) and blocks[run] == head:
-        run += 1
-    if run < len(blocks) and head < blocks[run]:
-        head_word = NkString(p, q, head)
-        if min_rotation(head_word)[0].digits == head:
-            count += fundamental_period(head_word)
+    # Words with orbit size dividing p < n are the powers b^(n/p); the least
+    # rotation of one is m^(n/p), m the least rotation of b.  Let a be the
+    # least prenecklace >= x, per its least period: no necklace lies in
+    # [x, a), so m^(n/p) is below x iff below a.  It is when m < a[:p] (the
+    # length-p count at a[:p]) and not when m > a[:p].  If m = a[:p], a[:p]
+    # is a necklace.  For per <= p that means per | p and m^(n/p) = a.  For
+    # per > p it means p' | p, p' the least period of a[:p]; a breaks period
+    # p' with a larger digit, so m^(n/p) < a and its p' words are added.
+    a, per = prenecklace_at_least(digits)
+    count = _count_dividing_cached(tuple(a[:p]), q, p)
+    if per > p:
+        head_period = prenecklace_at_least(a[:p])[1]
+        if p % head_period == 0:
+            count += head_period
     return count
 
 

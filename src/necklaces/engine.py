@@ -31,38 +31,39 @@ CPM 2014; Sawada and Williams, JDA 2017):
 So the count is q^n - sum_{L<n} (n - L) g_(n-1-L) f_L - (p if p | n else 0),
 with n(n - 1)/2 multiply-adds for the f_L and no special case.
 
-count_below_with_ceiling runs, on x and on the complemented ceiling, an
-automaton that decides "some rotation of y is strictly below x" as the
-union of two events:
+count_below_with_ceiling is a complement.  A rotation of y exceeds the
+ceiling c exactly when the matching rotation of the complemented word drops
+below the complemented ceiling c', so q^n - count_below(c') words have no
+rotation above c; take away the V words with every rotation inside [x, c].
+`_count_inside` counts V by running, on x and on c', an automaton that
+decides "some rotation of y is strictly below x" as the union of two events:
 
   * contiguous: y contains a substring x[0:m]c with c < x[m] (the rotation
     through that substring drops below x while still inside the copied part);
   * wraparound: for some a >= 1, y ends with x[0:a] and y[0:n-a] < x[a:n]
     (the rotation by a starts with x's own prefix and drops strictly later).
 
-The contiguous side is a KMP match length plus an absorbing FIRED outcome.
-The wraparound side compares y's prefix against every suffix x[a:] at once.
-While a comparison is open, y[0:j] = x[a:a+j] for every open shift a, so a
-state with open comparisons is a node of the substring trie of x: it is
-reached by exactly one prefix, its match length is fixed, and it carries its
-open shifts and the mask of final match lengths already certified by shifts
-that closed below (a shift m certifies the match lengths whose border chain
-contains m, `up_mask[m]`).  Grouping the open shifts by their next digit
-gives the node's children; any other symbol closes every comparison, and a
-running OR of the groups above it gives its mask.  A state with no open
-shift is resolved: it moves by the border chain alone and never changes its
-mask.  `_transitions` returns the ordered partition of the symbols for
-either kind of state, the intervals on which its move is constant.  The
-count walks the two sides' O(n^2) live nodes layer by layer, merges their
-partitions (the ceiling side's reversed) and carries resolved pairs
-forward, merging equal pairs.
+The contiguous side is a KMP match length; no piece of symbols on which it
+fires, on either side, is walked.  The wraparound side compares y's prefix
+against every suffix x[a:] at once.  While a comparison is open,
+y[0:j] = x[a:a+j] for every open shift a, so a state with open comparisons
+is a node of the substring trie of x: it is reached by exactly one prefix,
+its match length is fixed, and it carries its open shifts and the mask of
+final match lengths already certified by shifts that closed below (a shift
+m certifies the match lengths whose border chain contains m, `up_mask[m]`).
+Grouping the open shifts by their next digit gives the node's children; any
+other symbol closes every comparison, and a running OR of the groups above
+it gives its mask.  A state with no open shift is resolved: it moves by the
+border chain alone and never changes its mask.  `_transitions` returns the
+ordered partition of the symbols that do not fire, the intervals on which
+the move is constant.  The walk intersects the two sides' partitions (the
+ceiling side's reversed) layer by layer, merging equal pairs, and counts a
+final pair when neither side accepts.
 """
 
 from operator import mul
 
-from .words import NkString, borders, complement, prenecklace_at_least
-
-FIRED = None  # outcome of the symbols on which a contiguous witness fires
+from .words import borders, prenecklace_at_least
 
 
 class _Tables:
@@ -100,14 +101,14 @@ class _Tables:
 
 
 def _transitions(tab, state, j):
-    """Ordered partition of {0, ..., q-1} for `state` reading symbol j.
+    """Ordered partition of {fire_above[ell], ..., q-1} for `state` reading symbol j.
 
-    A state is (match length, mask, open shifts), live while some shift is
-    open.  Returns (first symbol, size, outcome) in ascending symbol order;
-    the outcome is FIRED or the next state.  A symbol equal to open shifts'
-    next digit keeps those with a digit left open; every other symbol closes
-    them all.  The shifts whose next digit exceeds the symbol end below, so
-    their up_mask joins the mask.
+    A state is (match length ell, mask, open shifts), live while some shift is
+    open.  Returns (first symbol, size, next state) in ascending symbol order;
+    the smaller symbols fire a contiguous witness.  A symbol equal to open
+    shifts' next digit keeps those with a digit left open; every other symbol
+    closes them all.  The shifts whose next digit exceeds the symbol end
+    below, so their up_mask joins the mask.
     """
     ell, mask, shifts = state
     x, n, up_mask = tab.x, tab.n, tab.up_mask
@@ -128,8 +129,6 @@ def _transitions(tab, state, j):
         for a in group:
             mask |= up_mask[a]
         top = v
-    if f:
-        out.append((0, f, FIRED))
     out.reverse()
     return out
 
@@ -152,42 +151,36 @@ def count_below(digits, q):
 
 
 def _pair_moves(lo, hi, pair, j):
-    """(size, next pair) for a pair of states, pieces whose hi side fires dropped.
+    """(size, next pair) for a pair of states, on the symbols where neither fires.
 
     The hi side reads complemented symbols, so its partition is reversed
-    before the two are merged; a fired lo side stays fired.
+    before the two are intersected.
     """
     slo, shi = pair
     q = lo.q
-    plo = [(0, q, FIRED)] if slo is FIRED else _transitions(lo, slo, j)
+    plo = _transitions(lo, slo, j)
     phi = [(q - c - size, size, out) for c, size, out in reversed(_transitions(hi, shi, j))]
     moves = []
-    i = k = c = 0
-    while c < q:
+    i = k = 0
+    while i < len(plo) and k < len(phi):
         c0, s0, out_lo = plo[i]
         c1, s1, out_hi = phi[k]
-        end = min(c0 + s0, c1 + s1)
-        if out_hi is not FIRED:  # else some rotation already exceeds the ceiling
-            moves.append((end - c, (out_lo, out_hi)))
+        start, end = max(c0, c1), min(c0 + s0, c1 + s1)
+        if end > start:
+            moves.append((end - start, (out_lo, out_hi)))
         i += end == c0 + s0
         k += end == c1 + s1
-        c = end
     return moves
 
 
-def count_below_with_ceiling(digits, ceiling, q):
-    """#{y : some rotation below `digits` and no rotation above `ceiling`}.
+def _count_inside(digits, flipped, q):
+    """#{y : no rotation of y below `digits`, none of its complement below `flipped`}.
 
-    The "above" side reuses the "below" automaton on complemented words: a
-    rotation of y exceeds the ceiling exactly when the matching rotation of
-    the complemented word drops below the complemented ceiling.
+    With `flipped` the complemented ceiling, these are the words with every
+    rotation inside [digits, ceiling].
     """
     n = len(digits)
-    if all(d == 0 for d in digits):
-        return 0
-    lo = _Tables(tuple(digits), q)
-    hi = _Tables(complement(NkString(n, q, tuple(ceiling))).digits, q)
-
+    lo, hi = _Tables(tuple(digits), q), _Tables(tuple(flipped), q)
     start = (0, 0, tuple(range(1, n)))
     frontier = {(start, start): 1}
     memo = {}  # pair with no open shift -> its moves, the same at every layer
@@ -197,15 +190,16 @@ def count_below_with_ceiling(digits, ceiling, q):
             moves = memo.get(pair)
             if moves is None:
                 moves = _pair_moves(lo, hi, pair, j)
-                slo, shi = pair
-                if not shi[2] and (slo is FIRED or not slo[2]):
+                if not pair[0][2] and not pair[1][2]:
                     memo[pair] = moves
             for size, key in moves:
                 nxt[key] = nxt.get(key, 0) + cnt * size
         frontier = nxt
+    return sum(cnt for (slo, shi), cnt in frontier.items()
+               if not _accepts(slo) and not _accepts(shi))
 
-    total = 0
-    for (slo, shi), cnt in frontier.items():
-        if not _accepts(shi) and (slo is FIRED or _accepts(slo)):
-            total += cnt
-    return total
+
+def count_below_with_ceiling(digits, ceiling, q):
+    """#{y : some rotation below `digits` and no rotation above `ceiling`}."""
+    flipped = tuple(q - 1 - d for d in ceiling)
+    return q**len(digits) - count_below(flipped, q) - _count_inside(digits, flipped, q)

@@ -1,10 +1,12 @@
 """engine.count_below, the closed-walk count on the path ("chain") automaton
-of the least prenecklace, against two independent references.
+of the least prenecklace, against two independent references, and
+engine.count_below_with_ceiling against brute force on every short pair.
 
-The reference walk is count_below_with_ceiling under the all-top ceiling,
-which excludes no word: it walks the substring trie of the threshold itself
-and shares no code with count_below.  Brute force over every word checks
-both at short sizes.
+The reference walk is the trie pair walk `engine._count_inside` under the
+all-top ceiling, which excludes no word: it counts the words with no
+rotation below the threshold by walking the substring trie of the threshold
+itself and shares no code with count_below.  Brute force over every word
+checks both at short sizes.
 """
 
 import itertools
@@ -19,7 +21,8 @@ from necklaces.words import NkString, min_rotation
 
 def reference_walk(digits, q):
     """The trie pair walk's count of words with a rotation below digits."""
-    return engine.count_below_with_ceiling(digits, (q - 1,) * len(digits), q)
+    n = len(digits)
+    return q**n - engine._count_inside(digits, (0,) * n, q)  # (0,) * n: the top, complemented
 
 
 def _canonical(n, q, digits):
@@ -68,3 +71,20 @@ def test_count_below_matches_brute_force_on_every_short_word():
             least = sorted(min((y + y)[s:s + n] for s in range(n)) for y in words)
             for x in words:
                 assert engine.count_below(x, q) == bisect_left(least, x), (x, q)
+
+
+def test_ceiling_count_matches_brute_force_on_every_pair():
+    """Every (x, ceiling) pair up to n = 6 at q = 2, 4 at q = 3, 3 at q = 4, 2 at q = 5."""
+    pairs = 0
+    for q, top in ((2, 6), (3, 4), (4, 3), (5, 2)):
+        for n in range(1, top + 1):
+            words = list(itertools.product(range(q), repeat=n))
+            rotations = ([(y + y)[s:s + n] for s in range(n)] for y in words)
+            spans = [(min(r), max(r)) for r in rotations]
+            for cap in words:
+                least = sorted(lo for lo, hi in spans if hi <= cap)
+                for x in words:
+                    want = bisect_left(least, x)
+                    assert engine.count_below_with_ceiling(x, cap, q) == want, (x, cap, q)
+                    pairs += 1
+    assert pairs == 17858
