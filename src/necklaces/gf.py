@@ -6,18 +6,55 @@ F_{q^n} = F_q[T]/F(T) are tuples of F_q elements in the same convention.
 p and q are arbitrary-precision; only the extension degrees need to stay
 reasonable.
 
-Inside, all field arithmetic runs on one packed kernel (_Packed): an
-element's n*e coordinates over F_p are slots of one Python int, so a
-product is one big-integer multiply (Kronecker substitution) followed by a
-fold of the overflow slots and a slot-wise reduction mod p.  Slots are
-W = 8 * ceil(bits(V * ceil(2^s / p)) / 8) bits wide, with the slot bound
-V = (2n-1)(2e-1) p^2 and 2^s > V p, so neither the product nor the
-reduction carries between slots.  The slot layout lives in _Packed alone:
-pack_row / unpack_row place one F_q element, and pack / unpack and
-from_int / to_int use the same bit offsets.  F_q is the kernel's n = 1 case
-F_q[T]/(T), its element in row 0, converted with pack_row / unpack_row;
-FqCtx and FqnCtx share one implementation (_Ext) that converts once per
-call, and inverses are a^(size-2).
+Inside, all field arithmetic runs on one packed kernel (_Packed) over
+R = F_p[u, T]/(g(u), F(T)), g monic of degree e and F monic of degree n,
+neither required to be irreducible.  An element's n*e coordinates over F_p
+are W-bit slots of one Python int, coordinate (i, k) of T^i u^k in slot
+i*(2e-1) + k, so row i (the 2e-1 slots of T^i) has room for a product's
+u-degree.  A product x*y is reduced without a loop over slots, by Barrett
+reduction (Barrett, CRYPTO '86) with quotients by precomputed inverses
+(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 9):
+
+  1. z = x*y is one integer multiply (Kronecker substitution): exponents
+     add slot-wise without colliding, and every slot is then taken mod p
+     by one multiply-shift over all slots.
+  2. Barrett in u, every row at once.  Let u^(2e-2) = mu_g*g + rho_g with
+     deg rho_g < e.  A row a = h*u^e + l (deg h <= e-2, deg l < e) has the
+     quotient Q_u = floor(h*mu_g / u^(e-2)): with R_u = h*mu_g mod u^(e-2),
+     a - Q_u*g = l + (h*rho_g + R_u*g) / u^(e-2), whose degree is below e
+     because deg h + deg rho_g <= 2e-3 < 2e-2.  As Q_u*g = Q_u*u^e +
+     Q_u*(g - u^e), the remainder is the low e slots of a + Q_u*(u^e - g).
+     In packed form h is z shifted down e slots and masked to e-1 slots
+     per row, and Q_u is h*mu_g shifted down e-2 slots under the same mask:
+     no row reaches a slot of its neighbour that the mask keeps.  Skipped
+     when e = 1.
+  3. Barrett in T over F_q, the same step one level up.  Let
+     T^(2n-2) = mu_F*F + rho_F; the rows n..2n-2 of z, reduced in u, form
+     h, and Q = floor(h*mu_F / T^(n-2)) is the exact quotient of z by F,
+     since deg h + deg rho_F <= 2n-3 < 2n-2.  h*mu_F is taken mod p and
+     reduced in u (steps 1 and 2) before its rows n-2.. are taken as Q.
+  4. The remainder is the low n rows of z + Q*(T^n - F), taken mod p and
+     reduced in u.  Both quotients are exact, so no correction follows.
+     Only divisions by the monic g and F occur, which is why neither needs
+     to be irreducible (is_irreducible relies on that).
+  5. Slot bound.  Before it is taken mod p a slot is at most V = n*e*p^2:
+     step 1 sums at most n*e products of coordinates below p, step 2 at
+     most e-1 such products and one coordinate, steps 3 and 4 at most
+     (n-1)*e and one coordinate, a Frobenius image sum n*e, add, sub and
+     neg at most 2p-1.  With 2^s > V*p and m = ceil(2^s/p),
+     floor(v/p) = floor(v*m / 2^s) for every v <= V, so the multiply-shift
+     is exact; W, rounded up to whole bytes for the Frobenius map's
+     to_bytes reads, holds V*m, so no step carries between slots.  (The
+     per-slot fold that this replaces needed V = (2n-1)(2e-1)p^2: at
+     q = 2^16, n = 3 that made slots 24 bits wide instead of 16.)
+
+mu_g is computed by long division over F_p, mu_F once per kernel by long
+division on one-row elements of the same kernel.  The slot layout lives in
+_Packed alone: pack_row / unpack_row place one F_q element, and pack /
+unpack and from_int / to_int use the same bit offsets.  F_q is the
+kernel's n = 1 case F_q[T]/(T), its element in row 0, converted with
+pack_row / unpack_row; FqCtx and FqnCtx share one implementation (_Ext)
+that converts once per call, and inverses are a^(size-2).
 frobenius, minimal_polynomial and is_irreducible stay packed throughout;
 is_irreducible is Rabin's test with its gcd replaced by a norm (see there).
 The generic tuple-polynomial routines (padd, psub, pmul, pdivmod, pmod,
@@ -34,6 +71,9 @@ packed representation):
     line 4: coefficients of F over F_q, space-separated, low first; each
             coefficient is a comma-separated F_p vector padded to length e
     line 5: optional "factors r1 r2 ..." (primes of q^n - 1, multiplicity)
+
+Every F_p coordinate on lines 2 and 4 lies in 0..p-1, and no line follows
+line 5; parse_advice refuses anything else.
 """
 
 import math
@@ -359,20 +399,22 @@ class _Packed:
 
     g (F_p coefficients, low first) is monic of degree e; F (coefficients
     are F_p coordinate tuples of F_q = F_p[u]/g, low first) is monic of
-    degree n.  Neither has to be irreducible.  Coordinate (i, k) of T^i u^k
-    sits in slot i*(2e-1) + k, W bits wide.  A reduced element fills the
-    slots with i < n and k < e, every one below p.  The product of two
-    reduced elements is then one integer multiply (Kronecker substitution):
-    exponents add slot-wise without colliding, and a slot sums at most n*e
-    products below p^2.  Its overflow slots (i >= n or k >= e) are folded
-    back through their precomputed reduced images, and every slot is taken
-    mod p at once by a multiply-shift.
+    degree n; neither has to be irreducible.  Coordinate (i, k) of T^i u^k
+    sits in slot i*(2e-1) + k, W bits wide; a reduced element fills the
+    slots with i < n and k < e, every one below p.  mul is steps 1-4 of
+    the module docstring, and W is sized for its slot bound V = n*e*p^2
+    (step 5).  The constants, all packed:
 
-    Every slot stays below V = (2n-1)(2e-1) p^2 before it is taken mod p.
-    floor(v/p) = floor(v*m / 2^s) for all v <= V when m = ceil(2^s/p) and
-    2^s > V*p, and the slot width W, rounded up to whole bytes so that
-    slots can be read from to_bytes, holds V*m: the multiply never carries
-    between slots either.
+      * _m, _s: the multiply-shift that takes every slot mod p, masked by
+        _qmask over the 2n-1 rows of a product;
+      * _mu_g = floor(u^(2e-2)/g) and _neg_g = u^e - g, one row each, with
+        the row masks _uquo (e-1 slots) and _urem (e slots) and the shifts
+        _uh_shift (e slots, to h) and _uq_shift (e-2 slots, to Q_u);
+      * _mu_F = floor(T^(2n-2)/F) and _neg_F = T^n - F, with _trem, the
+        mask of rows below n, and the shifts _th_shift (n rows, to h) and
+        _tq_shift (n-2 rows, to Q);
+      * _ps, p in every slot of a reduced element: sub and neg add it so
+        that no slot goes negative.
     """
 
     one = 1
@@ -380,7 +422,7 @@ class _Packed:
     def __init__(self, p, g, F):
         e, n = len(g) - 1, len(F) - 1
         stride = 2 * e - 1
-        bound = (2 * n - 1) * stride * p * p
+        bound = n * e * p * p
         s = (bound * p).bit_length()
         m = -(-(1 << s) // p)
         wb = ((bound * m).bit_length() + 7) // 8
@@ -390,32 +432,39 @@ class _Packed:
         self._rowbits, self._rowb = stride * W, stride * wb
         self._wmask, self._rowmask = (1 << W) - 1, (1 << self._rowbits) - 1
         self._ebytes = n * self._rowb
-        self._zbytes = (2 * n - 1) * self._rowb
         in_range = [i * stride + k for i in range(n) for k in range(e)]
         self._slots = [j * W for j in in_range]  # bit offsets, in order of i*e + k
-        self._keep = sum(((1 << W) - 1) << (j * W) for j in in_range)
         self._ps = sum(p << (j * W) for j in in_range)
-        low = (1 << (W - s)) - 1
-        self._qmask = sum(low << (j * W) for j in range(n * stride))
 
-        # u^k mod g for k < 2e - 1, as F_p coefficient lists
-        upow = [[0] * k + [1] + [0] * (e - 1 - k) for k in range(e)]
-        for _ in range(e, stride):
-            top, shifted = upow[-1][-1], [0] + upow[-1][:-1]
-            upow.append([(c - top * gc) % p for c, gc in zip(shifted, g)])
-        upow = [self.pack_row(c) for c in upow]
-        # (byte offset, reduced image) of every overflow slot; the images of
-        # row i >= n are products whose overflow lies in rows already listed
-        self._fold = [(i * self._rowb + k * wb, upow[k] << (i * self._rowbits))
-                      for i in range(n) for k in range(e, stride)]
-        tn = self.neg(self.pack(F[:n]))  # T^n = -(F_0 + ... + F_(n-1) T^(n-1))
-        self.t = tn if n == 1 else 1 << self._rowbits
-        ti = tn
-        for i in range(n, 2 * n - 1):
-            if i > n:
-                ti = self.mul(ti, self.t)
-            self._fold += [(i * self._rowb + k * wb, self.mul(ti, upow[k]))
-                           for k in range(stride)]
+        def every_row(value, ks):  # value in the slots k of rows 0..2n-2
+            row = sum(value << (k * W) for k in ks)
+            return sum(row << (i * self._rowbits) for i in range(2 * n - 1))
+
+        self._qmask = every_row((1 << (W - s)) - 1, range(stride))
+
+        # step 2: mu_g = floor(u^(2e-2) / g) and u^e - g
+        rem, mu_g = [0] * (2 * e - 2) + [1], [0] * (e - 1)
+        for i in range(2 * e - 2, e - 1, -1):
+            c = mu_g[i - e] = rem[i] % p
+            for j in range(e + 1):
+                rem[i - e + j] -= c * g[j]
+        self._mu_g, self._neg_g = self.pack_row(mu_g), self.pack_row([-c % p for c in g[:e]])
+        self._uh_shift, self._uq_shift = e * W, (e - 2) * W
+        self._uquo = every_row(self._wmask, range(e - 1))
+        self._urem = every_row(self._wmask, range(e))
+
+        # step 3: mu_F = floor(T^(2n-2) / F), long division on one-row elements
+        f = [self.pack_row(c) for c in F]
+        rem, mu_F = [0] * (2 * n - 2) + [1], 0
+        for i in range(2 * n - 2, n - 1, -1):
+            c = rem[i]
+            mu_F |= c << ((i - n) * self._rowbits)
+            for j in range(n):
+                rem[i - n + j] = self.sub(rem[i - n + j], self._ureduce(self._mod_p(c * f[j])))
+        self._mu_F, self._neg_F = mu_F, self.neg(self.pack(F[:n]))
+        self._th_shift, self._tq_shift = n * self._rowbits, (n - 2) * self._rowbits
+        self._trem = (1 << self._th_shift) - 1
+        self.t = self._neg_F if n == 1 else 1 << self._rowbits  # T = -F_0 when n = 1
         self._frob = None
 
     def pack_row(self, c):
@@ -453,14 +502,13 @@ class _Packed:
     def _mod_p(self, x):
         return x - self.p * (((x * self._m) >> self._s) & self._qmask)
 
-    def _combine(self, b, images, acc):
-        """acc + sum of (slot at offset o of bytes b, mod p) * image, mod p."""
-        p, wb = self.p, self._wb
-        for o, image in images:
-            c = int.from_bytes(b[o:o + wb], "little") % p
-            if c:
-                acc += c * image
-        return self._mod_p(acc)
+    def _ureduce(self, z):
+        """Step 2: every row of z (slots below p) reduced mod g(u)."""
+        if self.e == 1:
+            return z
+        quo = self._uquo
+        q = self._mod_p((((z >> self._uh_shift) & quo) * self._mu_g >> self._uq_shift) & quo)
+        return self._mod_p((z + q * self._neg_g) & self._urem)
 
     def from_int(self, v):
         """The element whose coordinate (i, k) is the base-p digit i*e + k of v."""
@@ -487,8 +535,13 @@ class _Packed:
         return self._mod_p(self._ps - x)
 
     def mul(self, x, y):
-        z = x * y
-        return self._combine(z.to_bytes(self._zbytes, "little"), self._fold, z & self._keep)
+        """Steps 1-4 of the module docstring."""
+        z = self._mod_p(x * y)
+        if self.n == 1:
+            return self._ureduce(z)
+        h = self._ureduce(z >> self._th_shift)
+        q = self._ureduce(self._mod_p(h * self._mu_F >> self._tq_shift))
+        return self._ureduce(self._mod_p((z + q * self._neg_F) & self._trem))
 
     def pow(self, x, k):
         if k == 0:
@@ -501,7 +554,13 @@ class _Packed:
         return result
 
     def frobenius(self, x):
-        """x^q, applied as the F_q-linear map it is: T^i u^k -> (T^q)^i u^k."""
+        """x^q: one squaring when q = 2, else the F_q-linear map T^i u^k -> (T^q)^i u^k.
+
+        The map reads n*e slots and adds as many images; at q = 2 one
+        product is cheaper than that.
+        """
+        if self.q == 2:
+            return self.mul(x, x)
         if self._frob is None:
             tq, power, images = self.pow(self.t, self.q), self.one, []
             for i in range(self.n):
@@ -510,7 +569,12 @@ class _Packed:
                     images.append((at, self.mul(power, 1 << (self._bits * k))))
                 power = self.mul(power, tq)
             self._frob = images
-        return self._combine(x.to_bytes(self._ebytes, "little"), self._frob, 0)
+        b, wb, acc = x.to_bytes(self._ebytes, "little"), self._wb, 0
+        for at, image in self._frob:
+            c = int.from_bytes(b[at:at + wb], "little")
+            if c:
+                acc += c * image
+        return self._mod_p(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -775,30 +839,38 @@ def format_advice(fctx, factors=None):
 def parse_advice(text):
     """Parse and fully verify an advice file; returns a primitive FqnCtx.
 
+    Every F_p coordinate, of g and of F, must lie in 0..p-1 (none is
+    reduced), and nothing may follow the optional factors line.
     Verification always includes irreducibility of both moduli and the
     primitivity of the class of T; the factorization of q^n - 1 is taken
     from the file or computed at desk scale.
     """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+
+    def coordinates(tokens):
+        vec = tuple(int(tok) for tok in tokens)
+        if not all(0 <= c < p for c in vec):
+            raise InvalidAdvice(f"coordinate outside 0..{p - 1} in {','.join(tokens)!r}")
+        return vec
+
     try:
         p_str, e_str = lines[0].split()
         p, e = int(p_str), int(e_str)
         at = 1
         if e > 1:
-            g = tuple(int(tok) for tok in lines[at].split())
+            g = coordinates(lines[at].split())
             at += 1
         else:
             g = None
         n = int(lines[at])
-        at += 1
-        coeff_tokens = lines[at].split()
-        at += 1
+        vectors = [coordinates(tok.split(",")) for tok in lines[at + 1].split()]
+        at += 2
         factors = None
+        if at < len(lines) and lines[at].split()[0] == "factors":
+            factors = [int(tok) for tok in lines[at].split()[1:]]
+            at += 1
         if at < len(lines):
-            head, *rest = lines[at].split()
-            if head != "factors":
-                raise InvalidAdvice(f"unexpected trailing line {lines[at]!r}")
-            factors = [int(tok) for tok in rest]
+            raise InvalidAdvice(f"unexpected trailing line {lines[at]!r}")
     except InvalidAdvice:
         raise
     except (ValueError, IndexError) as exc:
@@ -809,14 +881,11 @@ def parse_advice(text):
     except ValueError as exc:
         raise InvalidAdvice(f"bad base field description: {exc}") from exc
 
-    modulus = []
-    for tok in coeff_tokens:
-        vec = tuple(int(v) % p for v in tok.split(","))
-        if len(vec) > e:
-            raise InvalidAdvice("coefficient vector longer than the extension degree")
-        modulus.append(pstrip(base.base, vec))
+    if any(len(vec) > e for vec in vectors):
+        raise InvalidAdvice("coefficient vector longer than the extension degree")
+    modulus = tuple(pstrip(base.base, vec) for vec in vectors)
     try:
-        ctx = FqnCtx(base, n, tuple(modulus))
+        ctx = FqnCtx(base, n, modulus)
     except ValueError as exc:
         raise InvalidAdvice(f"bad extension modulus: {exc}") from exc
 

@@ -7,6 +7,7 @@ implementation.
 
 from itertools import product
 
+from necklaces import gf
 from necklaces.words import NkString, fundamental_period, min_rotation
 
 
@@ -53,3 +54,46 @@ def brute_witnesses(bits):
         if b == 1:
             out.add(tuple(bits[:k]) + (0,))
     return out
+
+
+class RefQuotient:
+    """F_p[u, T]/(g(u), F(T)) on gf's tuple routines alone; g and F monic, reducible or not.
+
+    An element is a low-first tuple of low-first F_p tuples, as
+    gf._Packed.pack takes it.  The object is also the coefficient ring
+    F_p[u]/g(u) that gf.pmul and gf.pmod run over in T.
+    """
+
+    def __init__(self, p, g, F):
+        self.fp = gf._PrimeField(p)
+        self.g, self.F = gf.pstrip(self.fp, g), tuple(gf.pstrip(self.fp, c) for c in F)
+        self.zero, self.one = (), (1,)
+
+    def add(self, a, b):
+        return gf.padd(self.fp, a, b)
+
+    def sub(self, a, b):
+        return gf.psub(self.fp, a, b)
+
+    def mul(self, a, b):
+        return gf.pmod(self.fp, gf.pmul(self.fp, a, b), self.g)
+
+    def inv(self, a):
+        if a != self.one:  # the moduli are monic: nothing else is divided by
+            raise ZeroDivisionError("reference inverts only 1")
+        return a
+
+    def is_zero(self, a):
+        return a == ()
+
+    def product(self, x, y):
+        return gf.pmod(self, gf.pmul(self, x, y), self.F)
+
+    def power(self, x, k):
+        result = (self.one,)  # deg F >= 1
+        while k:
+            if k & 1:
+                result = self.product(result, x)
+            x = self.product(x, x)
+            k >>= 1
+        return result

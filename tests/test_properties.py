@@ -1,15 +1,17 @@
 """Property tests over random sizes.
 
-Unranking then ranking is the identity, and the engine's one- and two-sided
-counts equal brute force over every word at sizes with q^n <= 4096.
+Unranking then ranking is the identity, the engine's one- and two-sided
+counts equal brute force over every word at sizes with q^n <= 4096, and
+the packed field kernel's product equals gf.pmul / gf.pmod over random
+moduli, reducible or not.
 
 Examples are derandomized, so the suite gives the same result on every run.
 """
 
 import pytest
 
-from conftest import all_words, brute_count_below
-from necklaces import counting, engine, indexing
+from conftest import RefQuotient, all_words, brute_count_below
+from necklaces import counting, engine, gf, indexing
 from necklaces.words import NkString, fundamental_period, max_rotation, min_rotation
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -60,3 +62,21 @@ def test_ceiling_count_matches_brute_force(size, data):
     want = sum(1 for y in all_words(n, q)
                if min_rotation(y)[0].digits < x.digits and max_rotation(y)[0].digits <= cap.digits)
     assert engine.count_below_with_ceiling(x.digits, cap.digits, q) == want
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@hypothesis.given(st.integers(1, 4), st.integers(1, 4),
+                  st.sampled_from([2, 3, 257, 65537, 2**61 - 1]), st.data())
+def test_packed_product_matches_tuple_routines(n, e, p, data):
+    def coordinates(label):
+        return tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e),
+                               label=label))
+
+    def element(label):
+        return tuple(gf.pstrip(gf._PrimeField(p), coordinates(label)) for _ in range(n))
+
+    g = coordinates("g") + (1,)
+    F = element("F") + ((1,),)
+    x, y = element("x"), element("y")
+    kernel, ref = gf._Packed(p, g, F), RefQuotient(p, g, F)
+    assert kernel.unpack(kernel.mul(kernel.pack(x), kernel.pack(y))) == ref.product(x, y)
