@@ -35,107 +35,48 @@ count_below_with_ceiling is a complement.  A rotation of y exceeds the
 ceiling c exactly when the matching rotation of the complemented word drops
 below the complemented ceiling c', so q^n - count_below(c') words have no
 rotation above c; take away the V words with every rotation inside [x, c].
-`_count_inside` counts V by running, on x and on c', an automaton that
-decides "some rotation of y is strictly below x" as the union of two events:
+`_count_inside` counts V by closed walks on two KMP paths at once:
 
-  * contiguous: y contains a substring x[0:m]c with c < x[m] (the rotation
-    through that substring drops below x while still inside the copied part);
-  * wraparound: for some a >= 1, y ends with x[0:a] and y[0:n-a] < x[a:n]
-    (the rotation by a starts with x's own prefix and drops strictly later).
-
-The contiguous side is a KMP match length; no piece of symbols on which it
-fires, on either side, is walked.  The wraparound side compares y's prefix
-against every suffix x[a:] at once.  While a comparison is open,
-y[0:j] = x[a:a+j] for every open shift a, so a state with open comparisons
-is a node of the substring trie of x: it is reached by exactly one prefix,
-its match length is fixed, and it carries its open shifts and the mask of
-final match lengths already certified by shifts that closed below (a shift
-m certifies the match lengths whose border chain contains m, `up_mask[m]`).
-Grouping the open shifts by their next digit gives the node's children; any
-other symbol closes every comparison, and a running OR of the groups above
-it gives its mask.  A state with no open shift is resolved: it moves by the
-border chain alone and never changes its mask.  `_transitions` returns the
-ordered partition of the symbols that do not fire, the intervals on which
-the move is constant.  The walk intersects the two sides' partitions (the
-ceiling side's reversed) layer by layer, merging equal pairs, and counts a
-final pair when neither side accepts.
+  5. By step 1 on each side, V counts the words with no rotation below a,
+     the least prenecklace >= x, with least period pa, and none above u,
+     the complement of the least prenecklace >= c', with least period pu.
+  6. Step 2 mirrored: at state k of u's path the symbol u[k] extends the
+     match, the smaller ones reset it and the larger ones complete a witness
+     above u.  On both paths at once, a state (i, k) allows the symbols
+     [a[i], u[k]].  If a[i] = u[k] the walk is forced to (i + 1, k + 1); if
+     a[i] > u[k] the state is dead; if a[i] < u[k] it is an event: a[i] goes
+     to (i + 1, 0), u[k] to (0, k + 1) and the u[k] - a[i] - 1 symbols in
+     between to (0, 0).  A side at n goes on as at n - p for that side.
+  7. By step 3 on each side, the words of V are exactly the closed walks of
+     length n on these moves, each counted once at its start state.
+  8. After an event the walk is at an axis state (i, 0) or (0, k).  These
+     2n - 1 states are the nodes of the event graph.  From a node the walk
+     takes r forced steps to its first event, then one of the event's
+     moves: an edge of length r + 1 with multiplicity 1, 1 or
+     u[k] - a[i] - 1.  A node with no event within n steps has no edge.
+  9. Cut a walk with an event after each event: it becomes a closed walk
+     of edges.  Order the nodes by |v|, nearest (0, 0) first, and let v be
+     the first of them that the walk visits (an edge starts there).  Its
+     visits to v split it into first returns to v through later nodes, and
+     its start is one of the L states of the first return that ends at its
+     first visit to v after time 0.  With R(L) the first returns of length
+     L, each weighted by the product of its multiplicities, and C(m) the
+     closed walks from v through later nodes (C(0) = 1,
+     C(m) = sum_L R(L) C(m - L)), these walks number
+     sum_v sum_L L R(L) C(n - L).  One DP over lengths per v finds R.  It
+     visits only the later nodes with a way back to v through later nodes.
+     Resets land near (0, 0), so in this order the later nodes soon hold no
+     cycle, and most v are passed over.
+ 10. A walk without an event is forced throughout, so each side stays on its
+     cycle (step 4): pa | n, pu | n, and the cycles read the same periodic
+     word.  a[:pa] is a Lyndon word and u[:pu] the complement of one, both
+     primitive, so that needs pa = pu and a[:pa] a rotation of u[:pu]; then
+     each of the pa states of a's cycle has exactly one partner: pa walks.
 """
 
 from operator import mul
 
-from .words import borders, prenecklace_at_least
-
-
-class _Tables:
-    """Per-threshold tables over the KMP border chains of x."""
-
-    def __init__(self, digits, q):
-        self.x = digits
-        self.q = q
-        n = self.n = len(digits)
-        border = borders(digits)
-
-        # up_mask[m], m >= 1: bitmask of the match lengths whose border chain
-        # contains m, i.e. the final states in which a word ending with
-        # x[0:m] is ending with that border of the matched prefix as well.
-        # (Shifts are at least 1, so up_mask[0] is never read.)
-        up_mask = [0] * (n + 1)
-        for ell in range(n, 0, -1):
-            up_mask[ell] |= 1 << ell
-            up_mask[border[ell]] |= up_mask[ell]
-        self.up_mask = up_mask
-
-        # fire_above[ell]: a contiguous witness fires iff the symbol read at
-        # match length ell is below this, the largest x[m] over the border
-        # chain of ell; extend[ell]: the match length after reading it, m + 1
-        # for the longest such m.  Larger symbols drop the match length to 0.
-        fire_above, extend = [digits[0]] * n, [1] * n
-        for ell in range(1, n):
-            b = border[ell]
-            if digits[ell] >= fire_above[b]:
-                fire_above[ell], extend[ell] = digits[ell], ell + 1
-            else:
-                fire_above[ell], extend[ell] = fire_above[b], extend[b]
-        self.fire_above = fire_above
-        self.extend = extend
-
-
-def _transitions(tab, state, j):
-    """Ordered partition of {fire_above[ell], ..., q-1} for `state` reading symbol j.
-
-    A state is (match length ell, mask, open shifts), live while some shift is
-    open.  Returns (first symbol, size, next state) in ascending symbol order;
-    the smaller symbols fire a contiguous witness.  A symbol equal to open
-    shifts' next digit keeps those with a digit left open; every other symbol
-    closes them all.  The shifts whose next digit exceeds the symbol end
-    below, so their up_mask joins the mask.
-    """
-    ell, mask, shifts = state
-    x, n, up_mask = tab.x, tab.n, tab.up_mask
-    f = tab.fire_above[ell]
-    groups = {f: []}
-    for a in shifts:
-        groups.setdefault(x[a + j], []).append(a)
-    out = []
-    top = tab.q
-    for v in sorted(groups, reverse=True):
-        if v < f:
-            break
-        if top > v + 1:
-            out.append((v + 1, top - v - 1, (0, mask, ())))
-        group = groups[v]
-        out.append((v, 1, (tab.extend[ell] if v == f else 0, mask,
-                           tuple(a for a in group if a + j + 1 < n))))
-        for a in group:
-            mask |= up_mask[a]
-        top = v
-    out.reverse()
-    return out
-
-
-def _accepts(state):
-    ell, mask, _ = state
-    return (mask >> ell) & 1
+from .words import prenecklace_at_least
 
 
 def count_below(digits, q):
@@ -150,53 +91,76 @@ def count_below(digits, q):
     return q**n - resets - (p if n % p == 0 else 0)
 
 
-def _pair_moves(lo, hi, pair, j):
-    """(size, next pair) for a pair of states, on the symbols where neither fires.
-
-    The hi side reads complemented symbols, so its partition is reversed
-    before the two are intersected.
-    """
-    slo, shi = pair
-    q = lo.q
-    plo = _transitions(lo, slo, j)
-    phi = [(q - c - size, size, out) for c, size, out in reversed(_transitions(hi, shi, j))]
-    moves = []
-    i = k = 0
-    while i < len(plo) and k < len(phi):
-        c0, s0, out_lo = plo[i]
-        c1, s1, out_hi = phi[k]
-        start, end = max(c0, c1), min(c0 + s0, c1 + s1)
-        if end > start:
-            moves.append((end - start, (out_lo, out_hi)))
-        i += end == c0 + s0
-        k += end == c1 + s1
-    return moves
-
-
 def _count_inside(digits, flipped, q):
     """#{y : no rotation of y below `digits`, none of its complement below `flipped`}.
 
     With `flipped` the complemented ceiling, these are the words with every
-    rotation inside [digits, ceiling].
+    rotation inside [digits, ceiling]: steps 5-10 of the module docstring.
     """
-    n = len(digits)
-    lo, hi = _Tables(tuple(digits), q), _Tables(tuple(flipped), q)
-    start = (0, 0, tuple(range(1, n)))
-    frontier = {(start, start): 1}
-    memo = {}  # pair with no open shift -> its moves, the same at every layer
-    for j in range(n):
-        nxt = {}
-        for pair, cnt in frontier.items():
-            moves = memo.get(pair)
-            if moves is None:
-                moves = _pair_moves(lo, hi, pair, j)
-                if not pair[0][2] and not pair[1][2]:
-                    memo[pair] = moves
-            for size, key in moves:
-                nxt[key] = nxt.get(key, 0) + cnt * size
-        frontier = nxt
-    return sum(cnt for (slo, shi), cnt in frontier.items()
-               if not _accepts(slo) and not _accepts(shi))
+    a, pa = prenecklace_at_least(digits)
+    b, pu = prenecklace_at_least(flipped)
+    n = len(a)
+    u = [q - 1 - d for d in b]
+    wrap_a, wrap_u = n - pa, n - pu
+    # Node (i, 0) is i and node (0, k) is -k.  length[v]: the length of every
+    # edge out of v; moves[v]: target -> multiplicity; into[x]: sources of x.
+    length, moves, into = {}, {}, {}
+    for v in range(1 - n, n):
+        i, k = (v, 0) if v >= 0 else (0, -v)
+        for span in range(1, n + 1):  # span: the forced steps, plus the event
+            lo, hi = a[i], u[k]
+            if lo != hi:
+                break
+            i = i + 1 if i + 1 < n else wrap_a
+            k = k + 1 if k + 1 < n else wrap_u
+        else:
+            continue
+        if lo > hi:
+            continue
+        out = {i + 1 if i + 1 < n else wrap_a: 1}
+        x = -(k + 1) if k + 1 < n else -wrap_u
+        out[x] = out.get(x, 0) + 1
+        if hi - lo > 1:
+            out[0] = out.get(0, 0) + hi - lo - 1
+        length[v], moves[v] = span, out
+        for x in out:
+            into.setdefault(x, []).append(v)
+
+    free = pa == pu and n % pa == 0 and any(u[s:pa] + u[:s] == a[:pa] for s in range(pa))
+    total = pa if free else 0
+    later = set(length)
+    for v in sorted(length, key=abs):  # nodes nearest (0, 0) first
+        later.discard(v)
+        back = {v}  # v and the later nodes with a way back to v through later nodes
+        stack = [v]
+        while stack:
+            for y in into.get(stack.pop(), ()):
+                if y in later and y not in back:
+                    back.add(y)
+                    stack.append(y)
+        if len(back) == 1 and v not in moves[v]:
+            continue
+        first = {}  # length -> weighted first returns to v
+        layers = [{} for _ in range(n)]  # walk length -> node -> weighted walks from v
+        layers[0][v] = 1
+        for t in range(n):
+            if not layers[t]:
+                continue
+            for w, c in layers[t].items():
+                s = t + length[w]
+                for x, m in moves[w].items():
+                    if x == v:
+                        if s <= n:
+                            first[s] = first.get(s, 0) + c * m
+                    elif s < n and x in back:
+                        layer = layers[s]
+                        layer[x] = layer.get(x, 0) + c * m
+        if first:
+            closed = [1]  # closed walks from v through later nodes, by length
+            for t in range(1, n):
+                closed.append(sum(r * closed[t - L] for L, r in first.items() if L <= t))
+            total += sum(L * r * closed[n - L] for L, r in first.items())
+    return total
 
 
 def count_below_with_ceiling(digits, ceiling, q):

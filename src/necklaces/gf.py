@@ -84,6 +84,7 @@ from .errors import (
     CoefficientNotInBase,
     ConjugatesCollide,
     InvalidAdvice,
+    InvariantViolated,
 )
 
 # ---------------------------------------------------------------------------
@@ -779,15 +780,37 @@ def check_factorization(order, factors):
         raise BadFactorization("factor product does not match the group order")
 
 
+# Draws per unit of degree before find_primitive_polynomial gives up.
+_PRIMITIVE_DRAWS_PER_DEGREE = 1024
+
+
 def find_primitive_polynomial(base, n, factors, rng_seed):
     """Random search for a monic irreducible F with T primitive mod F.
 
     factors must be the complete prime factorization of q^n - 1 (with
     multiplicity); determinism follows from the seed.
+
+    The search stops after 1024*n draws and raises InvariantViolated, which
+    an honest search reaches with probability below 2^-64 when q^n <= 2^4096:
+
+      1. A draw is a uniform monic F of degree n, one of q^n, and phi(m)/n of
+         them are primitive, m = q^n - 1.  So a draw succeeds with
+         probability rho = phi(m) / (n (m + 1)); rho = 1/2 when m = 1.
+      2. phi(m)/m is the product of 1 - 1/r over the primes r | m, at least
+         the same product over the first omega(m) primes.  The first 419
+         primes multiply to more than 2^4096, so for m < 2^4096 that is at
+         least the product over the 418 primes up to 2887, which is 0.0702,
+         above 1/15.
+      3. For m >= 2, (m + 1)/m <= 3/2, so rho > 2/(45 n), and 1024*n draws
+         all fail with probability below exp(-1024 * 2/45) = exp(-45.5),
+         below 2^-65.
+
+    A wrong field multiply then fails the search instead of looping forever.
     """
     check_factorization(base.q**n - 1, factors)
     rng = random.Random(rng_seed)
-    while True:
+    draws = _PRIMITIVE_DRAWS_PER_DEGREE * n
+    for _ in range(draws):
         coeffs = [base.element_from_int(rng.randrange(base.q)) for _ in range(n)]
         coeffs.append(base.one)
         f = pstrip(base, coeffs)
@@ -799,6 +822,8 @@ def find_primitive_polynomial(base, n, factors, rng_seed):
         if certify_primitive(ctx, factors):
             ctx.primitive = True
             return ctx
+    raise InvariantViolated(
+        f"no primitive polynomial of degree {n} over F_{base.q} in {draws} draws; field arithmetic bug")
 
 
 def certify_primitive(ctx, factors):

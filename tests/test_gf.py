@@ -7,6 +7,7 @@ from necklaces.errors import (
     BadFactorization,
     ConjugatesCollide,
     InvalidAdvice,
+    InvariantViolated,
 )
 from test_gf_packed import FIELDS
 
@@ -230,6 +231,15 @@ def test_find_primitive_polynomial(f2):
         gf.find_primitive_polynomial(f2, 3, [7, 2], rng_seed=0)
     with pytest.raises(BadFactorization):
         gf.find_primitive_polynomial(f2, 3, [21], rng_seed=0)
+
+
+def test_find_primitive_polynomial_gives_up_on_a_broken_field(f2, monkeypatch):
+    """With no draw irreducible, the search stops after 1024*n draws instead of looping."""
+    draws = []
+    monkeypatch.setattr(gf, "is_irreducible", lambda base, f: draws.append(f) and False)
+    with pytest.raises(InvariantViolated):
+        gf.find_primitive_polynomial(f2, 5, [31], rng_seed=0)
+    assert len(draws) == 1024 * 5
 
 
 def test_primitive_powers_exhaust_group(f2):
