@@ -10,12 +10,14 @@ The quantities: for a threshold word x of length n and a divisor p of n,
     the exact counts weighted by 1/orbit-size;
   * count_lyndon_below(x): orbits of full size n below x.
 
-For p = n the dividing count is `engine.count_below`: a count of closed
-walks on the KMP path of the least prenecklace at or above x, n(n-1)/2
-big-integer multiply-adds; for p < n a word with orbit size dividing p is a
-power of a length-p block, and the count is the length-p count at the first
-p digits of the least prenecklace >= x, plus one orbit when those digits are
-a necklace of smaller period than the prenecklace's.
+Every dividing count of one threshold is read off the same table: with a
+the least prenecklace at or above x, engine step 5 gives W_p, the words of
+period dividing p with a rotation below x, for every p | n from a's
+closed-walk table f, with n(n-1)/2 big-integer multiply-adds for the table
+and O(p) more per divisor.  `_count_dividing_cached` reads the proper
+divisors, f up to n/2, through `engine.count_below_by_period`; W_n is
+`engine.count_below`.  The divisors of n and their nonzero Mobius
+terms are cached per n, the counts per threshold, both with bounded caches.
 
 The paper's read-once branching programs over the binary expansion of the
 alphabet count the same p = n quantity; they are materialized only as a
@@ -63,15 +65,28 @@ def mobius(m):
     return mu
 
 
+@lru_cache(maxsize=1024)
+def _divisor_table(n):
+    """(divisors of n ascending, {p | n: ((position of i, mu(p/i)) for i | p, mu != 0)})."""
+    ds = tuple(divisors(n))
+    terms = {
+        p: tuple((k, mobius(p // i)) for k, i in enumerate(ds) if p % i == 0 and mobius(p // i))
+        for p in ds
+    }
+    return ds, terms
+
+
+@lru_cache(maxsize=256)
 def orbits_in_closed_form(n, k, lyndon=False):
     """Orbits of length-n words over k letters by the Witt/Mobius formula.
 
     Lyndon words: L(n, k) = (1/n) sum_{e | n} mu(e) k^(n/e); necklaces:
     N(n, k) = sum_{d | n} L(d, k).
     """
+    ds, terms = _divisor_table(n)
     if lyndon:
-        return sum(mobius(e) * k ** (n // e) for e in divisors(n)) // n
-    return sum(orbits_in_closed_form(d, k, True) for d in divisors(n))
+        return sum(mu * k ** ds[i] for i, mu in terms[n]) // n
+    return sum(orbits_in_closed_form(d, k, True) for d in ds)
 
 
 def orbits_below_digit(n, q, d, lyndon=False):
@@ -84,49 +99,33 @@ def orbits_below_digit(n, q, d, lyndon=False):
     return orbits_in_closed_form(n, q, lyndon) - orbits_in_closed_form(n, q - d, lyndon)
 
 
-@lru_cache(maxsize=4096)
-def _count_dividing_cached(digits, q, p):
-    if p == len(digits):
-        return engine.count_below(digits, q)
-
-    # Words with orbit size dividing p < n are the powers b^(n/p); the least
-    # rotation of one is m^(n/p), m the least rotation of b.  Let a be the
-    # least prenecklace >= x, per its least period: no necklace lies in
-    # [x, a), so m^(n/p) is below x iff below a.  It is when m < a[:p] (the
-    # length-p count at a[:p]) and not when m > a[:p].  If m = a[:p], a[:p]
-    # is a necklace.  For per <= p that means per | p and m^(n/p) = a.  For
-    # per > p it means p' | p, p' the least period of a[:p]; a breaks period
-    # p' with a larger digit, so m^(n/p) < a and its p' words are added.
+@lru_cache(maxsize=256)
+def _count_dividing_cached(digits, q):
+    """(W_p for every p | n, ascending): engine step 5 on one least prenecklace."""
     a, per = prenecklace_at_least(digits)
-    count = _count_dividing_cached(tuple(a[:p]), q, p)
-    if per > p:
-        head_period = prenecklace_at_least(a[:p])[1]
-        if p % head_period == 0:
-            count += head_period
-    return count
+    proper = _divisor_table(len(digits))[0][:-1]
+    return (*engine.count_below_by_period(a, per, q, proper), engine.count_below(digits, q))
 
 
 def count_words_below_period_dividing(x, p):
     """#{y : orbit size of y divides p, some rotation of y below x}."""
     if p < 1 or x.n % p != 0:
         raise NotADivisor(f"period {p} does not divide length {x.n}")
-    return _count_dividing_cached(x.digits, x.q, p)
+    return _count_dividing_cached(x.digits, x.q)[_divisor_table(x.n)[0].index(p)]
 
 
 def count_words_below_period_exact(x, p):
     """#{y : orbit size exactly p, some rotation of y below x}."""
     if p < 1 or x.n % p != 0:
         raise NotADivisor(f"period {p} does not divide length {x.n}")
-    total = 0
-    for i in divisors(p):
-        total += mobius(p // i) * _count_dividing_cached(x.digits, x.q, i)
-    return total
+    counts = _count_dividing_cached(x.digits, x.q)
+    return sum(mu * counts[i] for i, mu in _divisor_table(x.n)[1][p])
 
 
 def count_necklaces_below(x):
     """Number of orbits containing at least one word strictly below x."""
     total = 0
-    for i in divisors(x.n):
+    for i in _divisor_table(x.n)[0]:
         exact = count_words_below_period_exact(x, i)
         orbits, rem = divmod(exact, i)
         if rem:
@@ -171,4 +170,5 @@ def count_words_below_with_ceiling(x, ceiling):
 
 
 def clear_caches():
-    _count_dividing_cached.cache_clear()
+    for cache in (_count_dividing_cached, _divisor_table, orbits_in_closed_form):
+        cache.cache_clear()

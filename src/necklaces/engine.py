@@ -29,7 +29,22 @@ CPM 2014; Sawada and Williams, JDA 2017):
      runs join into the run 0 -> m, and s is any of its n - L states.
 
 So the count is q^n - sum_{L<n} (n - L) g_(n-1-L) f_L - (p if p | n else 0),
-with n(n - 1)/2 multiply-adds for the f_L and no special case.
+with n(n - 1)/2 multiply-adds for the f_L and no special case.  It is also
+W_n, the last of the counts that counting's Mobius sums read:
+
+  5. For d | n let W_d count the words whose period divides d and which
+     have a rotation below x.  Such a word is b^(n/d) for a block b of
+     length d, and its least rotation is m^(n/d), m the least rotation of b.
+     By step 1, m^(n/d) < x iff m^(n/d) < a.  That holds when m < a[:d],
+     which the length-d count at the prenecklace a[:d] counts, and fails
+     when m > a[:d].  If m = a[:d], a[:d] is a necklace whose least period
+     d' divides d.  A prefix of a of length >= p has least period p, so if
+     p <= d then d' = p and m^(n/d) = a, not below a; if p > d, a breaks
+     period d' with a larger digit, so m^(n/d) < a and its d' words count.
+     The length-d count at a[:d] subtracts d' exactly when d' | d, so for
+     p > d the two terms cancel, and p | d cannot hold.  So every W_d reads
+     the g_k and f_L of the one prenecklace a:
+     W_d = q^d - sum_{L<d} (d - L) g_(d-1-L) f_L - (p if p | d else 0).
 
 count_below_with_ceiling is a complement.  A rotation of y exceeds the
 ceiling c exactly when the matching rotation of the complemented word drops
@@ -37,24 +52,24 @@ below the complemented ceiling c', so q^n - count_below(c') words have no
 rotation above c; take away the V words with every rotation inside [x, c].
 `_count_inside` counts V by closed walks on two KMP paths at once:
 
-  5. By step 1 on each side, V counts the words with no rotation below a,
+  6. By step 1 on each side, V counts the words with no rotation below a,
      the least prenecklace >= x, with least period pa, and none above u,
      the complement of the least prenecklace >= c', with least period pu.
-  6. Step 2 mirrored: at state k of u's path the symbol u[k] extends the
+  7. Step 2 mirrored: at state k of u's path the symbol u[k] extends the
      match, the smaller ones reset it and the larger ones complete a witness
      above u.  On both paths at once, a state (i, k) allows the symbols
      [a[i], u[k]].  If a[i] = u[k] the walk is forced to (i + 1, k + 1); if
      a[i] > u[k] the state is dead; if a[i] < u[k] it is an event: a[i] goes
      to (i + 1, 0), u[k] to (0, k + 1) and the u[k] - a[i] - 1 symbols in
      between to (0, 0).  A side at n goes on as at n - p for that side.
-  7. By step 3 on each side, the words of V are exactly the closed walks of
+  8. By step 3 on each side, the words of V are exactly the closed walks of
      length n on these moves, each counted once at its start state.
-  8. After an event the walk is at an axis state (i, 0) or (0, k).  These
+  9. After an event the walk is at an axis state (i, 0) or (0, k).  These
      2n - 1 states are the nodes of the event graph.  From a node the walk
      takes r forced steps to its first event, then one of the event's
      moves: an edge of length r + 1 with multiplicity 1, 1 or
      u[k] - a[i] - 1.  A node with no event within n steps has no edge.
-  9. Cut a walk with an event after each event: it becomes a closed walk
+ 10. Cut a walk with an event after each event: it becomes a closed walk
      of edges.  Order the nodes by |v|, nearest (0, 0) first, and let v be
      the first of them that the walk visits (an edge starts there).  Its
      visits to v split it into first returns to v through later nodes, and
@@ -67,7 +82,7 @@ rotation above c; take away the V words with every rotation inside [x, c].
      visits only the later nodes with a way back to v through later nodes.
      Resets land near (0, 0), so in this order the later nodes soon hold no
      cycle, and most v are passed over.
- 10. A walk without an event is forced throughout, so each side stays on its
+ 11. A walk without an event is forced throughout, so each side stays on its
      cycle (step 4): pa | n, pu | n, and the cycles read the same periodic
      word.  a[:pa] is a Lyndon word and u[:pu] the complement of one, both
      primitive, so that needs pa = pu and a[:pa] a rotation of u[:pu]; then
@@ -79,23 +94,36 @@ from operator import mul
 from .words import prenecklace_at_least
 
 
+def count_below_by_period(a, p, q, periods):
+    """[W_d for d in periods]: step 5 for the prenecklace a of least period p.
+
+    Builds f once, up to the largest period asked for; each W_d then costs
+    d multiply-adds.
+    """
+    top = max(periods, default=0)
+    g = [q - 1 - c for c in a[:top]]
+    f = [1]
+    for _ in range(1, top):
+        f.append(sum(map(mul, g, reversed(f))))  # sum_{k<L} g_k f_(L-1-k), L = len(f)
+    return [
+        q**d
+        - sum(map(mul, f, map(mul, range(d, 0, -1), reversed(g[:d]))))  # (d - L) g_(d-1-L) f_L
+        - (p if d % p == 0 else 0)
+        for d in periods
+    ]
+
+
 def count_below(digits, q):
     """#{y in Sigma^n : some rotation of y is lexicographically below digits}."""
     a, p = prenecklace_at_least(digits)
-    n = len(a)
-    g = [q - 1 - d for d in a]
-    f = [1]
-    for _ in range(1, n):
-        f.append(sum(map(mul, g, reversed(f))))  # sum_{k<L} g_k f_(L-1-k), L = len(f)
-    resets = sum((n - L) * g[n - 1 - L] * f[L] for L in range(n))
-    return q**n - resets - (p if n % p == 0 else 0)
+    return count_below_by_period(a, p, q, (len(a),))[0]
 
 
 def _count_inside(digits, flipped, q):
     """#{y : no rotation of y below `digits`, none of its complement below `flipped`}.
 
     With `flipped` the complemented ceiling, these are the words with every
-    rotation inside [digits, ceiling]: steps 5-10 of the module docstring.
+    rotation inside [digits, ceiling]: steps 6-11 of the module docstring.
     """
     a, pa = prenecklace_at_least(digits)
     b, pu = prenecklace_at_least(flipped)
@@ -166,4 +194,6 @@ def _count_inside(digits, flipped, q):
 def count_below_with_ceiling(digits, ceiling, q):
     """#{y : some rotation below `digits` and no rotation above `ceiling`}."""
     flipped = tuple(q - 1 - d for d in ceiling)
-    return q**len(digits) - count_below(flipped, q) - _count_inside(digits, flipped, q)
+    b, pb = prenecklace_at_least(flipped)
+    above = count_below_by_period(b, pb, q, (len(b),))[0]
+    return q**len(digits) - above - _count_inside(digits, flipped, q)

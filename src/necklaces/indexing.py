@@ -7,12 +7,15 @@ representative.  The first digit comes from a closed form; the rest is an
 interpolation search on the orbit count, which is smooth at the scale of
 the whole interval, safeguarded so that it never takes more than two probes
 beyond bisection.  Each probe is rounded, within the search's slack, to the
-word with the longest run of trailing zeros; such probes share period
-blocks, so counting's memo answers more of their divisor fan-out (at n = 32,
-q = 2, 12.7 engine counts per unrank against 17.1 unrounded).  Once at most
-n orbits remain in the bracket the search stops counting and steps through
-them with the FKM successor (Ruskey, Savage and Wang, J. Algorithms 1992):
-n steps cost less than one probe, and the search would need about log2 n.
+word with the longest run of trailing zeros.  Such coarse words recur across
+the unranks of one process, so counting's per-threshold memo answers more of
+them: at n = 32, q = 2, 8.5 engine counts per necklace unrank against 10.7
+unrounded, over 12.7 and 12.4 probes.  At q = 2^26 the counts are level, and
+so was the unrank bench (938 against 929 ops/s over 6 alternating pairs,
+within the noise).  Once at most n orbits remain in the bracket the search
+stops counting and steps through them with the FKM successor (Ruskey, Savage
+and Wang, J. Algorithms 1992): n steps cost less than one probe, and the
+search would need about log2 n.
 Ranking counts the orbits below the canonical rotation.  Ranks are 1-based.
 """
 
@@ -114,8 +117,8 @@ def _search(n, q, j, below, total, head=None, weight=None):
     2^(budget-k-1) wide, with budget = n * ceil(log2 q) + 2.  The probe is
     then the multiple of the largest power of q within delta of that point
     and inside the window, nearest to it: a word ending in a long run of
-    zeros shares its period blocks with nearby probes, so `below`'s memo
-    answers more of its divisor fan-out.  It never leaves the window, so no
+    zeros recurs across searches, so `below`'s memo answers it more often.
+    It never leaves the window, so no
     input takes more than `budget` probes: bisection's worst case plus two.
 
     With a weight, the search stops probing once below_hi - below_lo <= n
