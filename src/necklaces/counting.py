@@ -14,10 +14,12 @@ Every dividing count of one threshold is read off the same table: with a
 the least prenecklace at or above x, engine step 5 gives W_p, the words of
 period dividing p with a rotation below x, for every p | n from a's
 closed-walk table f, with n(n-1)/2 big-integer multiply-adds for the table
-and O(p) more per divisor.  `_count_dividing_cached` reads the proper
-divisors, f up to n/2, through `engine.count_below_by_period`; W_n is
-`engine.count_below`.  The divisors of n and their nonzero Mobius
-terms are cached per n, the counts per threshold, both with bounded caches.
+and O(p) more per divisor.  At q = 2 the table takes no multiplies: each
+g_k is 0 or 1, so f_L adds up at most L of the earlier entries.
+`_count_dividing_cached` reads the proper divisors, f up to n/2, through
+`engine.count_below_by_period`; W_n is `engine.count_below`.  The divisors
+of n and their nonzero Mobius terms are cached per n, the counts per
+threshold, both with bounded caches.
 
 The paper's read-once branching programs over the binary expansion of the
 alphabet count the same p = n quantity; they are materialized only as a

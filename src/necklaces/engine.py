@@ -26,7 +26,9 @@ CPM 2014; Sawada and Williams, JDA 2017):
      ending with a reset, in one of f_L ways of length L (f_0 = 1,
      f_L = sum_{k<L} g_k f_(L-1-k)), then runs from 0 to s.  Before the cut
      it runs from s to m = n - 1 - L and takes one of g_m resets.  The two
-     runs join into the run 0 -> m, and s is any of its n - L states.
+     runs join into the run 0 -> m, and s is any of its n - L states.  At
+     q = 2 every g_k is 0 or 1, so f_L is the plain sum of the f_(L-1-k)
+     over the resets k < L, with no multiplies.
 
 So the count is q^n - sum_{L<n} (n - L) g_(n-1-L) f_L - (p if p | n else 0),
 with n(n - 1)/2 multiply-adds for the f_L and no special case.  It is also
@@ -89,6 +91,7 @@ rotation above c; take away the V words with every rotation inside [x, c].
      each of the pa states of a's cycle has exactly one partner: pa walks.
 """
 
+from itertools import compress
 from operator import mul
 
 from .words import prenecklace_at_least
@@ -103,8 +106,12 @@ def count_below_by_period(a, p, q, periods):
     top = max(periods, default=0)
     g = [q - 1 - c for c in a[:top]]
     f = [1]
-    for _ in range(1, top):
-        f.append(sum(map(mul, g, reversed(f))))  # sum_{k<L} g_k f_(L-1-k), L = len(f)
+    if q == 2:  # every g_k is 0 or 1: f_L sums f_(L-1-k) over the resets k
+        for _ in range(1, top):
+            f.append(sum(compress(reversed(f), g)))
+    else:
+        for _ in range(1, top):
+            f.append(sum(map(mul, g, reversed(f))))  # sum_{k<L} g_k f_(L-1-k), L = len(f)
     return [
         q**d
         - sum(map(mul, f, map(mul, range(d, 0, -1), reversed(g[:d]))))  # (d - L) g_(d-1-L) f_L
@@ -119,14 +126,14 @@ def count_below(digits, q):
     return count_below_by_period(a, p, q, (len(a),))[0]
 
 
-def _count_inside(digits, flipped, q):
-    """#{y : no rotation of y below `digits`, none of its complement below `flipped`}.
+def _count_inside(digits, b, pu, q):
+    """#{y : no rotation of y below `digits`, none of its complement below b}.
 
-    With `flipped` the complemented ceiling, these are the words with every
-    rotation inside [digits, ceiling]: steps 6-11 of the module docstring.
+    b is the least prenecklace >= the complemented ceiling, pu its least
+    period, so these are the words with every rotation inside
+    [digits, ceiling]: steps 6-11 of the module docstring.
     """
     a, pa = prenecklace_at_least(digits)
-    b, pu = prenecklace_at_least(flipped)
     n = len(a)
     u = [q - 1 - d for d in b]
     wrap_a, wrap_u = n - pa, n - pu
@@ -193,7 +200,6 @@ def _count_inside(digits, flipped, q):
 
 def count_below_with_ceiling(digits, ceiling, q):
     """#{y : some rotation below `digits` and no rotation above `ceiling`}."""
-    flipped = tuple(q - 1 - d for d in ceiling)
-    b, pb = prenecklace_at_least(flipped)
+    b, pb = prenecklace_at_least(tuple(q - 1 - d for d in ceiling))
     above = count_below_by_period(b, pb, q, (len(b),))[0]
-    return q**len(digits) - above - _count_inside(digits, flipped, q)
+    return q**len(digits) - above - _count_inside(digits, b, pb, q)

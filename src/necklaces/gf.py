@@ -468,6 +468,13 @@ class _Packed:
         self.t = self._neg_F if n == 1 else 1 << self._rowbits  # T = -F_0 when n = 1
         self._frob = None
 
+        # A wrong mul fails here, not after a search that runs to its bound:
+        # T^(n-1) * T = T^n - F and u^(e-1) * u = u^e - g.
+        if (n > 1 and self.mul(self.t << (n - 2) * self._rowbits, self.t) != self._neg_F
+                or e > 1 and self.mul(1 << (e - 1) * W, 1 << W) != self._neg_g):
+            raise InvariantViolated(
+                f"packed multiply of degree {n} over F_{self.q} fails its self-check")
+
     def pack_row(self, c):
         """Packed form of one F_q coordinate tuple c (low first): c[k] at bit k*W."""
         v, w, p = 0, self._bits, self.p

@@ -7,10 +7,15 @@ of the least prenecklace a >= x, plus the p' words of a[:p] when a's least
 period exceeds p and a[:p]'s least period p' divides p.  It shares only
 `engine.count_below`, `prenecklace_at_least` and the divisor helpers with
 the code under test.
+
+The binary table, which sums f over the resets instead of multiplying by
+g_k in {0, 1}, is checked against the recurrence for every q, kept here as
+`generic_by_period`.
 """
 
 import random
 from functools import lru_cache
+from operator import mul
 
 import pytest
 
@@ -101,3 +106,27 @@ def test_a_corrupted_divisor_count_raises(monkeypatch):
             counting.count_necklaces_below(parse_word("0110", 2))
     finally:
         counting.clear_caches()
+
+
+def generic_by_period(a, p, q, periods):
+    """count_below_by_period's recurrence for every q, copied verbatim: the q = 2 reference."""
+    top = max(periods, default=0)
+    g = [q - 1 - c for c in a[:top]]
+    f = [1]
+    for _ in range(1, top):
+        f.append(sum(map(mul, g, reversed(f))))  # sum_{k<L} g_k f_(L-1-k), L = len(f)
+    return [
+        q**d
+        - sum(map(mul, f, map(mul, range(d, 0, -1), reversed(g[:d]))))  # (d - L) g_(d-1-L) f_L
+        - (p if d % p == 0 else 0)
+        for d in periods
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 32, 64, 80, 128, 256])
+def test_binary_table_matches_the_generic_recurrence(n):
+    divs = counting.divisors(n)
+    for x in thresholds(n, 2, 100, seed=7000 + n):
+        a, per = prenecklace_at_least(x.digits)
+        want = generic_by_period(a, per, 2, divs)
+        assert engine.count_below_by_period(a, per, 2, divs) == want, x.digits

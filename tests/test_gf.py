@@ -242,6 +242,23 @@ def test_find_primitive_polynomial_gives_up_on_a_broken_field(f2, monkeypatch):
     assert len(draws) == 1024 * 5
 
 
+def test_a_broken_packed_multiply_fails_at_once(f2, monkeypatch):
+    """An unreduced multiply fails the first kernel's self-check, not a whole search."""
+    calls = []
+
+    def unreduced(self, x, y):
+        calls.append((x, y))
+        return self._mod_p(x * y)
+
+    monkeypatch.setattr(gf._Packed, "mul", unreduced)
+    with pytest.raises(InvariantViolated):
+        gf.default_fq_ctx(4)
+    assert len(calls) == 1
+    with pytest.raises(InvariantViolated):
+        gf.find_primitive_polynomial(f2, 20, gf.factorize(2**20 - 1), rng_seed=1)
+    assert len(calls) == 2
+
+
 def test_primitive_powers_exhaust_group(f2):
     for n in (2, 3, 4, 6):
         ctx = gf.find_primitive_polynomial(

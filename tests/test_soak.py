@@ -1,18 +1,41 @@
-"""A long run of fresh ranks and unranks does not grow memory without bound.
+"""Long runs of fresh public calls do not grow memory without bound.
 
-Every cache on the counting path has a maxsize, so once the caches are full
-the traced memory stops growing: the reading after the second half of the
-run stays within a small margin of the reading after the first half.
+Every cache on the counting and field paths has a maxsize, so once the
+caches are full the traced memory stops growing: the reading after the
+second half of a run stays within a small margin of the reading after the
+first half.
 """
 
 import gc
 import random
 import tracemalloc
 
-from necklaces import counting, indexing
+from necklaces import bch, counting, gf, indexing, irreducible
 from necklaces.words import NkString
 
 SIZES = [(32, 2), (10, 2**26)]
+FIELDS = [(16, 2), (27, 2)]
+
+
+def _clear_caches():
+    counting.clear_caches()
+    bch._cumulative_rows.cache_clear()
+
+
+def _readings(run, halves):
+    """Traced memory after run(calls) for each calls in halves, from empty caches."""
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        readings = []
+        for calls in halves:
+            run(calls)
+            gc.collect()  # also empties the tuple free lists, which tracemalloc counts
+            readings.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        _clear_caches()
+    return readings
 
 
 def _run(rng, calls):
@@ -31,16 +54,53 @@ def _run(rng, calls):
 
 def test_counting_caches_stay_bounded():
     rng = random.Random(6)
-    counting.clear_caches()
-    tracemalloc.start()
-    try:
-        readings = []
-        for _ in range(2):
-            _run(rng, 1000)
-            gc.collect()  # also empties the tuple free lists, which tracemalloc counts
-            readings.append(tracemalloc.get_traced_memory()[0])
-    finally:
-        tracemalloc.stop()
-        counting.clear_caches()
-    first, second = readings
-    assert second <= first + 32 * 1024, readings
+    first, second = _readings(lambda calls: _run(rng, calls), (1000, 1000))
+    assert second <= first + 32 * 1024, (first, second)
+
+
+def _field_run(rng, fields, calls):
+    """Fresh generator entries; every fourth call an irreducible index or a parity entry instead.
+
+    The fields take turns in blocks of 8 calls, so each gets every kind.
+    """
+    for k in range(calls):
+        fctx = fields[k // 8 % 2]
+        size = fctx.q**fctx.n
+        if k % 8 == 3:
+            irreducible.index_irreducible(
+                fctx, rng.randrange(1, irreducible.count_irreducible(fctx.q, fctx.n) + 1))
+            continue
+        params = bch.BchParams(fctx, rng.randrange(size // 2, size - 1))
+        alpha = bch.nonzero_column_element(fctx, rng.randrange(size - 1))
+        if k % 8 == 7:
+            bch.parity_entry(params, rng.randrange(1, bch.parity_row_count(params) + 1), alpha)
+        else:
+            r = rng.randrange(1, bch.generator_row_count(params) + 1)
+            bch.generator_entry(params, r, alpha)
+
+
+def test_field_caches_stay_bounded():
+    """The row memo (4096 entries) and the threshold memo (256) fill in the first half.
+
+    The first half (about 6,100 row-memo misses) also churns the row memo
+    past its first table resize after filling: CPython's dict grows its
+    table once under steady eviction, by about 150 KiB at 4096 entries, and
+    then keeps that size.  Under tracemalloc these calls run about 11 times
+    slower, so the second half is less than a third of the first; an
+    unbounded row memo still adds over 200 KiB there.  The divisor tables
+    and closed forms hold a few keys per context, and each context's
+    subfield bases one per divisor of n.
+    """
+    fields = [gf.find_primitive_polynomial(gf.default_fq_ctx(q), n, gf.factorize(q**n - 1), 1)
+              for q, n in FIELDS]
+    rng = random.Random(7)
+    full = []
+
+    def run(calls):
+        _field_run(rng, fields, calls)
+        full.append([c.cache_info().currsize == c.cache_info().maxsize
+                     for c in (bch._cumulative_rows, counting._count_dividing_cached)])
+
+    first, second = _readings(run, (1280, 400))
+    assert full[0] == [True, True], full
+    assert second <= first + 32 * 1024, (first, second)

@@ -19,7 +19,7 @@ from bisect import bisect_left
 import pytest
 
 from necklaces import bch, engine, gf
-from necklaces.words import NkString, borders, min_rotation
+from necklaces.words import NkString, borders, min_rotation, prenecklace_at_least
 
 # ---------------------------------------------------------------------------
 # the substring-trie pair walk (reference only)
@@ -257,7 +257,8 @@ def _random_pairs(n, q, count, rng):
 def test_event_graph_matches_trie_on_random_pairs(n, q):
     rng = random.Random(n * 1000 + q % 997)
     for x, flipped in _random_pairs(n, q, 24, rng):
-        assert engine._count_inside(x, flipped, q) == trie_count_inside(x, flipped, q), (x, flipped, q)
+        inside = engine._count_inside(x, *prenecklace_at_least(flipped), q)
+        assert inside == trie_count_inside(x, flipped, q), (x, flipped, q)
 
 
 def _generator_row_probes(q, n, searches, monkeypatch):
@@ -288,5 +289,5 @@ def test_event_graph_matches_trie_on_generator_row_probes(q, n, searches, monkey
     assert len(probes) >= 3 * searches
     for digits, ceiling in probes:
         flipped = tuple(q - 1 - d for d in ceiling)
-        assert engine._count_inside(digits, flipped, q) == trie_count_inside(digits, flipped, q), (
-            digits, ceiling, q)
+        inside = engine._count_inside(digits, *prenecklace_at_least(flipped), q)
+        assert inside == trie_count_inside(digits, flipped, q), (digits, ceiling, q)
