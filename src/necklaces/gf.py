@@ -679,6 +679,8 @@ def poly_to_int(ctx, f):
 
 def default_fq_ctx(q):
     """Canonical context for F_q: the first irreducible modulus in integer order."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
     factors = factorize(q)
     p = factors[0]
     if any(f != p for f in factors):

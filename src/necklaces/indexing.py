@@ -6,13 +6,7 @@ fewer than j orbits strictly below it, which is exactly the j-th minimal
 representative.  The first digit comes from a closed form; the rest is an
 interpolation search on the orbit count, which is smooth at the scale of
 the whole interval, safeguarded so that it never takes more than two probes
-beyond bisection.  Each probe is rounded, within the search's slack, to the
-word with the longest run of trailing zeros.  Such coarse words recur across
-the unranks of one process, so counting's per-threshold memo answers more of
-them: at n = 32, q = 2, 8.5 engine counts per necklace unrank against 10.7
-unrounded, over 12.7 and 12.4 probes.  At q = 2^26 the counts are level, and
-so was the unrank bench (938 against 929 ops/s over 6 alternating pairs,
-within the noise).  Once at most n orbits remain in the bracket the search
+beyond bisection.  Once at most n orbits remain in the bracket the search
 stops counting and steps through them with the FKM successor (Ruskey, Savage
 and Wang, J. Algorithms 1992): n steps cost less than one probe, and the
 search would need about log2 n.
@@ -59,21 +53,6 @@ class RankResult(_Frozen):
         object.__setattr__(self, "canonical", canonical)
 
 
-def _coarsest(a, b, x, q):
-    """The multiple of the largest power of q in [a, b] nearest x (a <= x <= b).
-
-    Ties go to the lower multiple.
-    """
-    step = 1
-    while b // (step * q) * (step * q) >= a:
-        step *= q
-    down = x - x % step
-    up = down + step
-    if down >= a and (up > b or x - down <= up - x):
-        return down
-    return up
-
-
 def _walk(n, q, lo, hi, target, weight):
     """The necklace in [lo, hi) at which the weights summed from lo reach target.
 
@@ -110,16 +89,13 @@ def _search(n, q, j, below, total, head=None, weight=None):
     weigh 0 there, so a walk over them would have no bound in n.
 
     The answer lies in [lo, hi) with below(lo) < j <= below(hi).  Each probe
-    starts from an Illinois-weighted false-position point aimed at j - 1/2
-    (ITP: Oliveira & Takahashi, ACM TOMS 2020), truncated by
+    is the Illinois-weighted false-position point aimed at j - 1/2 (ITP:
+    Oliveira & Takahashi, ACM TOMS 2020), truncated by
     delta = width^2 / spread toward the midpoint and clamped into the
     projection window, which keeps the bracket after probe k at most
-    2^(budget-k-1) wide, with budget = n * ceil(log2 q) + 2.  The probe is
-    then the multiple of the largest power of q within delta of that point
-    and inside the window, nearest to it: a word ending in a long run of
-    zeros recurs across searches, so `below`'s memo answers it more often.
-    It never leaves the window, so no
-    input takes more than `budget` probes: bisection's worst case plus two.
+    2^(budget-k-1) wide, with budget = n * ceil(log2 q) + 2.  The probe
+    never leaves the window, so no input takes more than `budget` probes:
+    bisection's worst case plus two.
 
     With a weight, the search stops probing once below_hi - below_lo <= n
     and walks from lo to the necklace at which the weights reach
@@ -165,7 +141,6 @@ def _search(n, q, j, below, total, head=None, weight=None):
         else:
             x += delta if x < mid else -delta
         x = max(low, min(x, high))
-        x = _coarsest(max(low, x - delta), min(high, x + delta), x, q)
         probes += 1
         value = below(NkString.from_int(n, q, x))
         side = 1 if value < j else -1

@@ -3,7 +3,8 @@
 `bench/tracing.py` installs its wrappers by looking names up with
 `owner.__dict__[attr]`, so renaming or removing a traced function breaks
 `bench/run.py --trace 1`.  This test imports the tracer unchanged and runs
-one traced rank and one traced operation of each kind on the field layer.
+one traced rank, one traced unrank of each kind and one traced operation of
+each kind on the field layer.
 """
 
 import importlib
@@ -29,6 +30,23 @@ def test_tracer_wraps_count_below(monkeypatch):
     assert tracer.calls["engine.count_below"] >= 1
     assert tracer.memo_end is not None
     assert engine.count_below is original
+
+
+def test_tracer_counts_unrank_probes(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        indexing.index_necklace(32, 2, 12345)
+        necklace_probes = tracer.probes
+        indexing.index_lyndon(32, 2, 12345)
+    finally:
+        tracer.uninstall()
+    assert necklace_probes >= 1
+    assert tracer.probes > necklace_probes
+    assert tracer.calls["indexing.index_necklace"] == 1
+    assert tracer.calls["indexing.index_lyndon"] == 1
 
 
 def test_tracer_counts_the_field_layer(monkeypatch):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from necklaces import bch, gf, irreducible
+from necklaces import bch, gf, irreducible, oracle
 from necklaces.errors import (
     BadFactorization,
     ConjugatesCollide,
@@ -30,6 +30,14 @@ def test_primality_and_factorize():
     assert gf.factorize(360) == [2, 2, 2, 3, 3, 5]
     assert gf.factorize(2**31 - 1) == [2147483647]
     assert gf.factorize((2**31 - 1) * 97) == [97, 2147483647]
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12])
+def test_field_size_must_be_a_prime_power(q):
+    with pytest.raises(ValueError):
+        gf.default_fq_ctx(q)
+    with pytest.raises(ValueError):
+        oracle.brute_irreducibles(q, 2)
 
 
 def test_primality_beyond_the_fixed_base_bound():

@@ -135,25 +135,6 @@ def _next_necklace(digits, q):
             return tuple(a)
 
 
-def _valuation(y, q):
-    k = 0
-    while y % q == 0:
-        y //= q
-        k += 1
-    return k
-
-
-@pytest.mark.parametrize("q", [2, 3, 10])
-def test_coarsest_probe_against_brute_force(q):
-    for a in range(1, 30):
-        for b in range(a, 50):
-            top = max(_valuation(y, q) for y in range(a, b + 1))
-            coarse = [y for y in range(a, b + 1) if _valuation(y, q) == top]
-            for x in range(a, b + 1):
-                want = min(coarse, key=lambda y: (abs(y - x), y))
-                assert indexing._coarsest(a, b, x, q) == want, (a, b, x)
-
-
 @pytest.mark.parametrize("n, q", [(6, 2), (8, 2), (4, 3), (3, 4), (3, 5)])
 def test_walk_reaches_every_rank_from_the_bottom(n, q):
     orbits = brute_orbits(n, q)

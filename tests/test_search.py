@@ -2,13 +2,17 @@
 
 Every search is checked against a plain bisection written here, and its
 probes against the budget n * ceil(log2 q) + 2.  The closed form that pins
-the first digit is checked against the engine and against the oracle.
+the first digit is checked against the engine and against the oracle.  A
+`hypothesis` property drives the search with synthetic counts, derandomized
+so the suite gives the same result on every run.
 """
 
 import math
 import random
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from necklaces import bch, counting, gf, indexing
 from necklaces.errors import InvariantViolated
@@ -135,3 +139,50 @@ def test_closed_form_first_digit(n, q):
     assert counting.orbits_below_digit(n, q, q) == counting.count_necklaces(n, q) == necklaces
     top = counting.orbits_below_digit(n, q, q, lyndon=True)
     assert top == counting.count_lyndon(n, q) == lyndon
+
+
+@st.composite
+def _flat_counts(draw):
+    """(n, q, cum): cum[x] is the sum of per-word weights over the words below x.
+
+    Nonzero weights sit after gaps that are short or up to the whole
+    interval long, so cum has the long flat stretches that a generator
+    row's count has where orbits leave the ceiling.
+    """
+    q = draw(st.integers(2, 16), label="q")
+    n_max = max(n for n in range(1, 13) if q**n <= 4096)
+    n = draw(st.integers(1, n_max), label="n")
+    size = q**n
+    gap = st.one_of(st.integers(0, 3), st.integers(0, size - 1))
+    runs = draw(st.lists(st.tuples(gap, st.integers(1, 50)), min_size=1, max_size=24),
+                label="runs")
+    weights, at = [0] * size, 0
+    for skip, w in runs:
+        at += skip
+        if at >= size:
+            break
+        weights[at] += w
+        at += 1
+    cum = [0]
+    for w in weights:
+        cum.append(cum[-1] + w)
+    return n, q, cum
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_flat_counts(), st.data())
+def test_search_contract_on_flat_counts(counts, data):
+    n, q, cum = counts
+    total = cum[-1]
+    j = data.draw(st.integers(1, total), label="j")
+    want = bisect(n, q, j, lambda x: cum[x.to_int()])
+    for head in (None, lambda d: cum[d * q ** (n - 1)]):
+        probes = 0
+
+        def below(x):
+            nonlocal probes
+            probes += 1
+            return cum[x.to_int()]
+
+        assert indexing._search(n, q, j, below, total, head) == want, (n, q, j, head)
+        assert probes <= budget(n, q), (n, q, j, head, probes)
