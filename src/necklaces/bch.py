@@ -16,10 +16,10 @@ below a ceiling.
 
 from functools import lru_cache
 
-from . import counting, indexing
+from . import counting, engine, indexing
 from .errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
 from .gf import fq_kernel_basis, frobenius, pstrip
-from .words import NkString, _Frozen, fundamental_period, max_rotation, min_rotation
+from .words import NkString, _Frozen, complement, fundamental_period, max_rotation, min_rotation
 
 MATRIX_COLUMN_LIMIT = 2**14
 
@@ -50,11 +50,6 @@ def _word(params, value):
     return NkString.from_int(params.ctx.n, params.ctx.q, value)
 
 
-def _orbit_from_word(word):
-    rep, _ = min_rotation(word)
-    return OrbitSet(rep.to_int(), fundamental_period(word))
-
-
 # ---------------------------------------------------------------------------
 # generator side
 
@@ -66,12 +61,9 @@ def generator_row_count(params):
     with some rotation above it, and the latter is a plain below-count on
     the complemented alphabet.
     """
-    from .engine import count_below
-    from .words import complement
-
     ctx = params.ctx
     ceiling = _word(params, params.d)
-    exceed = count_below(complement(ceiling).digits, ctx.q)
+    exceed = engine.count_below(complement(ceiling).digits, ctx.q)
     return ctx.q**ctx.n - exceed
 
 
@@ -101,7 +93,7 @@ def generator_row(params, r):
         raise InvariantViolated("generator row search ended off a minimal rotation")
     if max_rotation(rep)[0].digits > ceiling.digits:
         raise InvariantViolated("generator row orbit leaves {0, ..., d}")
-    return _orbit_from_word(rep), r - cum(rep)
+    return OrbitSet(rep.to_int(), fundamental_period(rep)), r - cum(rep)
 
 
 def subfield_basis(ctx, ell):
@@ -187,7 +179,7 @@ def parity_row(params, r):
     rep = indexing.index_necklace(ctx.n, ctx.q, r)
     if min_rotation(rep)[0].digits != rep.digits:
         raise InvariantViolated("parity row search ended off a minimal rotation")
-    return _orbit_from_word(rep)
+    return OrbitSet(rep.to_int(), fundamental_period(rep))
 
 
 def parity_value(ctx, orbit, alpha):

@@ -16,10 +16,10 @@ period dividing p with a rotation below x, for every p | n from a's
 closed-walk table f, with n(n-1)/2 big-integer multiply-adds for the table
 and O(p) more per divisor.  At q = 2 the table takes no multiplies: each
 g_k is 0 or 1, so f_L adds up at most L of the earlier entries.
-`_count_dividing_cached` reads the proper divisors, f up to n/2, through
-`engine.count_below_by_period`; W_n is `engine.count_below`.  The divisors
-of n and their nonzero Mobius terms are cached per n, the counts per
-threshold, both with bounded caches.
+`_count_dividing_cached` reads W_d for every d | n, W_n included, from one
+`engine.count_below` call, which builds f once, up to n.  The divisors of n
+and their nonzero Mobius terms are cached per n, the counts per threshold,
+both with bounded caches.
 
 The paper's read-once branching programs over the binary expansion of the
 alphabet count the same p = n quantity; they are materialized only as a
@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from . import engine
 from .errors import InvariantViolated, NotADivisor
-from .words import NkString, prenecklace_at_least
+from .words import NkString
 
 
 def divisors(n):
@@ -104,9 +104,7 @@ def orbits_below_digit(n, q, d, lyndon=False):
 @lru_cache(maxsize=256)
 def _count_dividing_cached(digits, q):
     """(W_p for every p | n, ascending): engine step 5 on one least prenecklace."""
-    a, per = prenecklace_at_least(digits)
-    proper = _divisor_table(len(digits))[0][:-1]
-    return (*engine.count_below_by_period(a, per, q, proper), engine.count_below(digits, q))
+    return tuple(engine.count_below(digits, q, _divisor_table(len(digits))[0]))
 
 
 def count_words_below_period_dividing(x, p):
@@ -124,27 +122,22 @@ def count_words_below_period_exact(x, p):
     return sum(mu * counts[i] for i, mu in _divisor_table(x.n)[1][p])
 
 
+def _orbits_of_size(x, i):
+    """Orbits of size exactly i below x: the exact word count over i, which must divide it."""
+    orbits, rem = divmod(count_words_below_period_exact(x, i), i)
+    if rem:
+        raise InvariantViolated(f"orbit count for size {i} not divisible by {i}; counting bug")
+    return orbits
+
+
 def count_necklaces_below(x):
     """Number of orbits containing at least one word strictly below x."""
-    total = 0
-    for i in _divisor_table(x.n)[0]:
-        exact = count_words_below_period_exact(x, i)
-        orbits, rem = divmod(exact, i)
-        if rem:
-            raise InvariantViolated(
-                f"orbit count for size {i} not divisible by {i}; counting bug"
-            )
-        total += orbits
-    return total
+    return sum(_orbits_of_size(x, i) for i in _divisor_table(x.n)[0])
 
 
 def count_lyndon_below(x):
     """Number of orbits of full size n below x (aperiodic orbits)."""
-    exact = count_words_below_period_exact(x, x.n)
-    orbits, rem = divmod(exact, x.n)
-    if rem:
-        raise InvariantViolated("aperiodic word count not divisible by n; counting bug")
-    return orbits
+    return _orbits_of_size(x, x.n)
 
 
 def count_necklaces(n, q):

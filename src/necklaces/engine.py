@@ -120,10 +120,15 @@ def count_below_by_period(a, p, q, periods):
     ]
 
 
-def count_below(digits, q):
-    """#{y in Sigma^n : some rotation of y is lexicographically below digits}."""
+def count_below(digits, q, periods=None):
+    """#{y in Sigma^n : some rotation of y is lexicographically below digits}.
+
+    Given divisors of n as `periods`, [W_d for d in periods] instead: step 5, one table.
+    """
     a, p = prenecklace_at_least(digits)
-    return count_below_by_period(a, p, q, (len(a),))[0]
+    if periods is None:
+        return count_below_by_period(a, p, q, (len(a),))[0]
+    return count_below_by_period(a, p, q, periods)
 
 
 def _count_inside(digits, b, pu, q):

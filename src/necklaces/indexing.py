@@ -185,8 +185,9 @@ def index_lyndon(n, q, j):
 
 def reverse_index_lyndon(x):
     """Rank of x's orbit among aperiodic orbits; requires full period."""
-    if fundamental_period(x) != x.n:
-        raise NotAperiodic(f"word has period {fundamental_period(x)} < {x.n}")
+    period = fundamental_period(x)
+    if period != x.n:
+        raise NotAperiodic(f"word has period {period} < {x.n}")
     canonical, _ = min_rotation(x)
     rank = counting.count_lyndon_below(canonical) + 1
     return RankResult(rank, canonical)

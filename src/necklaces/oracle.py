@@ -6,7 +6,7 @@ truncating.
 """
 
 from .errors import TooBig
-from .words import NkString, fundamental_period, min_rotation
+from .words import NkString, min_rotation
 
 ENUM_GUARD = 2**22
 
@@ -21,15 +21,25 @@ def all_words(n, q):
     return [NkString.from_int(n, q, v) for v in range(q**n)]
 
 
+def _least_rotation(y):
+    """Least rotation of y's digits: the minimum over its n rotations."""
+    doubled = y.digits + y.digits
+    return min(doubled[s:s + y.n] for s in range(y.n))
+
+
+def _period(y):
+    """Least d | n with y = y[:d]^(n/d), which is y's orbit size."""
+    return next(d for d in range(1, y.n + 1)
+                if y.n % d == 0 and y.digits[:d] * (y.n // d) == y.digits)
+
+
 def brute_orbits(n, q):
     """Sorted list of (minimal representative, orbit size) over all orbits."""
     _check_size(n, q)
-    seen = {}
+    members = {}
     for w in all_words(n, q):
-        rep, _ = min_rotation(w)
-        if rep.digits not in seen:
-            seen[rep.digits] = fundamental_period(rep)
-    return [(NkString(n, q, d), size) for d, size in sorted(seen.items())]
+        members.setdefault(_least_rotation(w), w)
+    return [(NkString(n, q, d), _period(w)) for d, w in sorted(members.items())]
 
 
 def brute_necklaces_below(x):
@@ -37,24 +47,20 @@ def brute_necklaces_below(x):
     return sum(1 for rep, _ in brute_orbits(x.n, x.q) if rep.digits < x.digits)
 
 
+def _words_below(x, keep):
+    """#{y : keep(|orbit(y)|) and some rotation of y is below x}."""
+    _check_size(x.n, x.q)
+    return sum(1 for y in all_words(x.n, x.q) if keep(_period(y)) and _least_rotation(y) < x.digits)
+
+
 def brute_words_below_period_exact(x, p):
     """#{y : |orbit(y)| = p and some rotation of y is below x}."""
-    _check_size(x.n, x.q)
-    count = 0
-    for y in all_words(x.n, x.q):
-        if fundamental_period(y) == p and min_rotation(y)[0].digits < x.digits:
-            count += 1
-    return count
+    return _words_below(x, lambda size: size == p)
 
 
 def brute_words_below_period_dividing(x, p):
     """#{y : |orbit(y)| divides p and some rotation of y is below x}."""
-    _check_size(x.n, x.q)
-    count = 0
-    for y in all_words(x.n, x.q):
-        if p % fundamental_period(y) == 0 and min_rotation(y)[0].digits < x.digits:
-            count += 1
-    return count
+    return _words_below(x, lambda size: p % size == 0)
 
 
 def _factorize(m):

@@ -5,6 +5,10 @@ Python ints, most significant (leftmost) digit first, so that fixed-length
 lexicographic order coincides with base-q integer order.  q may be an
 arbitrary-precision integer; nothing here assumes symbols fit a machine word.
 
+min_rotation finds the least rotation and its period in one scan of the
+doubled word, by Duval's Lyndon factorization (J.-P. Duval, "Factorizing
+words over an ordered alphabet", J. Algorithms 4, 1983).
+
 Values are immutable and safe to share across threads.  Every function is
 pure except next_prenecklace, which advances a caller's digit list in place.
 """
@@ -144,27 +148,26 @@ def fundamental_period(x):
     return p if n % p == 0 else n
 
 
-def _least_rotation_start(s):
-    # Booth's algorithm: smallest index k such that s[k:]+s[:k] is the
-    # lexicographically least rotation of s.
-    n = len(s)
-    s2 = s + s
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s2[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s2[k + i + 1]:
-            if sj < s2[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s2[k + i + 1]:
-            if sj < s2[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
+def _least_rotation(s):
+    """(start, p): s[start:] + s[:start] is the least rotation of s, p its least period.
+
+    Duval's factorization of ss: from each factor start i, scan the longest
+    prenecklace ss[i:j], of least period p = j - k, then step i past its copies
+    of the Lyndon factor ss[i:i+p].  From a start of the least rotation w^(n/|w|)
+    on, ss is a prefix of www..., so the first scan to reach the end starts there.
+    """
+    end = 2 * len(s)
+    ss = s + s
+    i = 0
+    while True:
+        j, k = i + 1, i
+        while j < end and ss[k] <= ss[j]:
+            k = i if ss[k] < ss[j] else k + 1
+            j += 1
+        p = j - k
+        if j == end:
+            return i, p
+        i += ((k - i) // p + 1) * p
 
 
 def min_rotation(x):
@@ -172,8 +175,7 @@ def min_rotation(x):
 
     Returns (y, i) with rotate(x, i) == y and 0 <= i < fundamental_period(x).
     """
-    start = _least_rotation_start(x.digits)
-    period = fundamental_period(x)
+    start, period = _least_rotation(x.digits)
     shift = (x.n - start) % period
     return rotate(x, shift), shift
 

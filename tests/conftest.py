@@ -8,7 +8,7 @@ implementation.
 from itertools import product
 
 from necklaces import gf
-from necklaces.words import NkString, fundamental_period, min_rotation
+from necklaces.words import NkString
 
 
 def all_words(n, q):
@@ -19,6 +19,12 @@ def brute_min_rotation(x):
     n = x.n
     doubled = x.digits + x.digits
     return min(doubled[s:s + n] for s in range(n))
+
+
+def brute_period(x):
+    """Least d | n with x = x[:d]^(n/d)."""
+    n = x.n
+    return next(d for d in range(1, n + 1) if n % d == 0 and x.digits[:d] * (n // d) == x.digits)
 
 
 def brute_orbit_below(y, x):
@@ -33,7 +39,7 @@ def brute_count_below(x, period=None, dividing=False):
     for y in all_words(x.n, x.q):
         if not brute_orbit_below(y, x):
             continue
-        p = fundamental_period(y)
+        p = brute_period(y)
         if period is None or (dividing and period % p == 0) or (not dividing and p == period):
             count += 1
     return count
@@ -43,7 +49,7 @@ def brute_necklaces_below(x):
     seen = set()
     for y in all_words(x.n, x.q):
         if brute_orbit_below(y, x):
-            seen.add(min_rotation(y)[0].digits)
+            seen.add(brute_min_rotation(y))
     return len(seen)
 
 

@@ -8,6 +8,7 @@ each kind on the field layer.
 """
 
 import importlib
+import sys
 from pathlib import Path
 
 from necklaces import bch, counting, engine, gf, indexing, irreducible
@@ -30,6 +31,28 @@ def test_tracer_wraps_count_below(monkeypatch):
     assert tracer.calls["engine.count_below"] >= 1
     assert tracer.memo_end is not None
     assert engine.count_below is original
+
+
+def test_traced_rank_builds_one_table_inside_count_below(monkeypatch):
+    """A threshold's engine work is one table, built by the traced `engine.count_below`."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    table, callers = engine.count_below_by_period, []
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_code)
+        return table(*args)
+
+    monkeypatch.setattr(engine, "count_below_by_period", recording)
+    counting.clear_caches()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        indexing.reverse_index_necklace(NkString(12, 2, (0, 0, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1)))
+    finally:
+        tracer.uninstall()
+    assert callers == [engine.count_below.__code__]
+    assert tracer.calls["engine.count_below"] == 1
 
 
 def test_tracer_counts_unrank_probes(monkeypatch):

@@ -92,12 +92,13 @@ def test_divisor_counts_match_the_per_divisor_recursion(n, q):
     reference_dividing.cache_clear()
 
 
-def test_a_corrupted_divisor_count_raises(monkeypatch):
-    """W_2 off by one breaks the size-2 class's divisibility, reported as a bug."""
+@pytest.mark.parametrize("bad", [2, 4], ids=["d=2", "d=n"])
+def test_a_corrupted_divisor_count_raises(monkeypatch, bad):
+    """W_d off by one breaks the size-d class's divisibility, reported as a bug."""
     table = engine.count_below_by_period
 
     def corrupted(a, per, q, periods):
-        return [w + (d == 2) for w, d in zip(table(a, per, q, periods), periods)]
+        return [w + (d == bad) for w, d in zip(table(a, per, q, periods), periods)]
 
     monkeypatch.setattr(engine, "count_below_by_period", corrupted)
     counting.clear_caches()

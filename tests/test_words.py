@@ -1,7 +1,9 @@
 import bisect
 import random
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from conftest import all_words, brute_min_rotation
 from necklaces.errors import InvalidBlock
@@ -84,6 +86,27 @@ def test_min_rotation_matches_brute_force():
         word, shift = min_rotation(x)
         assert word.digits == brute_min_rotation(x)
         assert rotate(x, shift).digits == word.digits
+
+
+@st.composite
+def _repeated_blocks(draw):
+    """A random block repeated and then rotated: n <= 256, q <= 2^64, many periods and ties."""
+    q = draw(st.one_of(st.integers(2, 4), st.integers(2, 2**64)))
+    span = min(q, draw(st.sampled_from([2, 3, 2**64])))
+    low = draw(st.integers(0, q - span))
+    size = draw(st.integers(1, 256))
+    block = tuple(draw(st.lists(st.integers(low, low + span - 1), min_size=size, max_size=size)))
+    n = size * draw(st.integers(1, 256 // size))
+    return rotate(NkString(n, q, block * (n // size)), draw(st.integers(0, n - 1)))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_repeated_blocks())
+def test_min_rotation_of_repeated_blocks_matches_brute_force(x):
+    word, shift = min_rotation(x)
+    assert word.digits == brute_min_rotation(x)
+    assert rotate(x, shift) == word
+    assert 0 <= shift < fundamental_period(x)
 
 
 def test_canonical_form_is_rotation_invariant():
