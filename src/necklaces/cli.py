@@ -153,6 +153,7 @@ def _cmd_irred(args, out):
         )
         return
     if args.action == "gen-advice":
+        gf.check_degree(args.n)  # before q^n - 1 is factored
         order = q**args.n - 1
         if not args.factors and order > gf._AUTO_FACTOR_LIMIT:
             raise TooBig("q^n - 1 is too large to factor here; supply it with --factors")

@@ -6,20 +6,20 @@ The quantities: for a threshold word x of length n and a divisor p of n,
     and whose orbit contains a word strictly below x;
   * count_words_below_period_exact(x, p): same with orbit size exactly p,
     recovered by Mobius inversion over divisors;
-  * count_necklaces_below(x): orbits with a member strictly below x, summing
-    the exact counts weighted by 1/orbit-size;
-  * count_lyndon_below(x): orbits of full size n below x.
+  * count_necklaces_below(x): orbits with a member strictly below x, the
+    sum of E_p / p over p | n, E_p the exact count for orbit size p;
+  * count_lyndon_below(x): orbits of full size n below x, E_n / n.
 
 Every dividing count of one threshold is read off the same table: with a
 the least prenecklace at or above x, engine step 5 gives W_p, the words of
 period dividing p with a rotation below x, for every p | n from a's
-closed-walk table f, with n(n-1)/2 big-integer multiply-adds for the table
-and O(p) more per divisor.  At q = 2 the table takes no multiplies: each
-g_k is 0 or 1, so f_L adds up at most L of the earlier entries.
-`_count_dividing_cached` reads W_d for every d | n, W_n included, from one
-`engine.count_below` call, which builds f once, up to n.  The divisors of n
-and their nonzero Mobius terms are cached per n, the counts per threshold,
-both with bounded caches.
+closed-walk table f, with n(n-1)/2 big-integer multiply-adds (none at q = 2,
+where each g_k is 0 or 1) and O(p) more per divisor.  One
+`engine.count_below` call fills `_count_dividing_cached` with W_d for every
+d | n, and each orbit count reads it once.  Over all k^n words the orbits
+are one divisor sum (1/n) sum_{d | n} c_d k^d, with c_d = phi(n/d) for
+necklaces (Burnside's lemma) and mu(n/d) for Lyndon words (Witt's formula).
+Bounded caches keep the divisors and weights per n, the counts per threshold.
 
 The paper's read-once branching programs over the binary expansion of the
 alphabet count the same p = n quantity; they are materialized only as a
@@ -69,26 +69,25 @@ def mobius(m):
 
 @lru_cache(maxsize=1024)
 def _divisor_table(n):
-    """(divisors of n ascending, {p | n: ((position of i, mu(p/i)) for i | p, mu != 0)})."""
+    """(divisors d of n ascending, {p: ((i's position, mu(p/i)) for i | p, mu != 0)}, phi(n/d))."""
     ds = tuple(divisors(n))
     terms = {
         p: tuple((k, mobius(p // i)) for k, i in enumerate(ds) if p % i == 0 and mobius(p // i))
         for p in ds
     }
-    return ds, terms
+    return ds, terms, tuple(sum(mu * ds[k] for k, mu in terms[n // d]) for d in ds)
 
 
-@lru_cache(maxsize=256)
 def orbits_in_closed_form(n, k, lyndon=False):
-    """Orbits of length-n words over k letters by the Witt/Mobius formula.
+    """Orbits of length-n words over k letters, (1/n) sum_{d | n} c_d k^d.
 
-    Lyndon words: L(n, k) = (1/n) sum_{e | n} mu(e) k^(n/e); necklaces:
-    N(n, k) = sum_{d | n} L(d, k).
+    Necklaces by Burnside's lemma, c_d = phi(n/d); Lyndon words by Witt's
+    formula, c_d = mu(n/d).
     """
-    ds, terms = _divisor_table(n)
+    ds, terms, phis = _divisor_table(n)
     if lyndon:
         return sum(mu * k ** ds[i] for i, mu in terms[n]) // n
-    return sum(orbits_in_closed_form(d, k, True) for d in ds)
+    return sum(phi * k**d for d, phi in zip(ds, phis)) // n
 
 
 def orbits_below_digit(n, q, d, lyndon=False):
@@ -122,22 +121,26 @@ def count_words_below_period_exact(x, p):
     return sum(mu * counts[i] for i, mu in _divisor_table(x.n)[1][p])
 
 
-def _orbits_of_size(x, i):
-    """Orbits of size exactly i below x: the exact word count over i, which must divide it."""
-    orbits, rem = divmod(count_words_below_period_exact(x, i), i)
-    if rem:
-        raise InvariantViolated(f"orbit count for size {i} not divisible by {i}; counting bug")
+def _orbits_below(x, sizes):
+    """Sum of E_p / p over p in sizes, E_p the exact count below x; p must divide E_p."""
+    counts, terms = _count_dividing_cached(x.digits, x.q), _divisor_table(x.n)[1]
+    orbits = 0
+    for p in sizes:
+        words = sum(mu * counts[i] for i, mu in terms[p])
+        if words % p:
+            raise InvariantViolated(f"orbit count for size {p} not divisible by {p}; counting bug")
+        orbits += words // p
     return orbits
 
 
 def count_necklaces_below(x):
     """Number of orbits containing at least one word strictly below x."""
-    return sum(_orbits_of_size(x, i) for i in _divisor_table(x.n)[0])
+    return _orbits_below(x, _divisor_table(x.n)[0])
 
 
 def count_lyndon_below(x):
     """Number of orbits of full size n below x (aperiodic orbits)."""
-    return _orbits_of_size(x, x.n)
+    return _orbits_below(x, (x.n,))
 
 
 def count_necklaces(n, q):
@@ -165,5 +168,5 @@ def count_words_below_with_ceiling(x, ceiling):
 
 
 def clear_caches():
-    for cache in (_count_dividing_cached, _divisor_table, orbits_in_closed_form):
+    for cache in (_count_dividing_cached, _divisor_table):
         cache.cache_clear()

@@ -633,14 +633,18 @@ class _Ext:
         return self.kernel.to_int(self._pack(a))
 
 
+def check_degree(n):
+    if n < 1:
+        raise ValueError("extension degree must be positive")
+
+
 class FqCtx(_Ext):
     """F_q = F_p[u]/g(u), the kernel's n = 1 case F_q[T]/(T); elements are low-first int tuples."""
 
     def __init__(self, p, e, g=None):
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
-        if e < 1:
-            raise ValueError("extension degree must be positive")
+        check_degree(e)
         base = _PrimeField(p)
         if g is None:
             if e != 1:
@@ -709,8 +713,7 @@ class FqnCtx(_Ext):
     """The extension F_q[T]/F(T); elements are low-first tuples of F_q elements."""
 
     def __init__(self, base, n, modulus, primitive=False, _verified=False):
-        if n < 1:
-            raise ValueError("extension degree must be positive")
+        check_degree(n)
         modulus = pstrip(base, modulus)
         if len(modulus) != n + 1 or modulus[-1] != base.one:
             raise ValueError("modulus must be monic of degree n")
@@ -816,6 +819,7 @@ def find_primitive_polynomial(base, n, factors, rng_seed):
 
     A wrong field multiply then fails the search instead of looping forever.
     """
+    check_degree(n)
     check_factorization(base.q**n - 1, factors)
     rng = random.Random(rng_seed)
     draws = _PRIMITIVE_DRAWS_PER_DEGREE * n

@@ -3,13 +3,12 @@
 Orbits are ordered by their lexicographically least member.  Unranking
 searches the words, read as integers in [0, q^n), for the largest one with
 fewer than j orbits strictly below it, which is exactly the j-th minimal
-representative.  The first digit comes from a closed form; the rest is an
-interpolation search on the orbit count, which is smooth at the scale of
-the whole interval, safeguarded so that it never takes more than two probes
-beyond bisection.  Once at most n orbits remain in the bracket the search
-stops counting and steps through them with the FKM successor (Ruskey, Savage
-and Wang, J. Algorithms 1992): n steps cost less than one probe, and the
-search would need about log2 n.
+representative.  One safeguarded interpolation loop, never more than two
+probes beyond bisection, runs at two scales: over the first digit on the
+closed-form orbit count, then over the words on the counted orbits.  Once
+at most n orbits remain in the bracket it steps through them with the FKM
+successor (Ruskey, Savage and Wang, J. Algorithms 1992): n steps cost less
+than one probe, and the search would need about log2 n.
 Ranking counts the orbits below the canonical rotation.  Ranks are 1-based.
 """
 
@@ -74,82 +73,74 @@ def _walk(n, q, lo, hi, target, weight):
     raise InvariantViolated("necklace walk left the bracket; the counts disagree")
 
 
+def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=0):
+    """(lo, hi, count_lo, count_hi) narrowed until hi - lo = 1 or count_hi - count_lo <= stop.
+
+    `count` is nondecreasing, count(lo) < j <= count(hi) throughout, and
+    hi - lo <= 2^(budget-2) on entry.  Each probe is the Illinois-weighted
+    false-position point aimed at j - 1/2 (ITP: Oliveira & Takahashi, ACM
+    TOMS 2020), moved at most delta = width^2 / (q * starting width) toward
+    the midpoint and clamped into the projection window, which keeps the
+    bracket after probe k at most 2^(budget-k-1) wide: at most `budget` probes.
+    """
+    spread = q * (hi - lo)
+    run = 0  # > 0: lo moved run times in a row; < 0: hi moved -run times
+    while hi - lo > 1 and count_hi - count_lo > stop:
+        width = hi - lo
+        budget -= 1
+        reach = 1 << budget
+        low, high = max(lo + 1, hi - reach), min(hi - 1, lo + reach)
+        mid = lo + width // 2
+        # Twice the distances of the ends' counts from the target j - 1/2.
+        short, over = 2 * (j - count_lo) - 1, 2 * (count_hi - j) + 1
+        if run > 1:  # Illinois: halve the weight of an end kept twice or more
+            short <<= run - 1
+        elif run < -1:
+            over <<= -run - 1
+        x = lo + width * short // (short + over)
+        delta = width * width // spread
+        x += max(-delta, min(mid - x, delta))
+        x = max(low, min(x, high))
+        value = count(x)
+        if value < j:
+            lo, count_lo, run = x, value, max(run, 0) + 1
+        else:
+            hi, count_hi, run = x, value, min(run, 0) - 1
+    return lo, hi, count_lo, count_hi
+
+
 def _search(n, q, j, below, total, head=None, weight=None):
-    """Largest word x with below(x) < j, by a safeguarded interpolation search.
+    """Largest word x with below(x) < j, by one safeguarded interpolation loop.
 
     The contract: `below` is nondecreasing in the word, below(0^n) = 0,
     `total` is below at the virtual word q^n past the last one, and
     1 <= j <= total.  `head`, if given, is the closed form
-    d -> below((d, 0, ..., 0)) for 0 <= d <= q; it pins the first digit
-    without a probe, and head(q) must equal total.  `weight`, if given,
-    says that below(x) is the sum of weight(digits, period) over the
-    necklaces strictly below x, each given as its digit list and the period
-    of its least rotation; the search then finishes by walking (see below).
-    `bch.generator_row` passes none: necklaces whose orbit leaves its ceiling
-    weigh 0 there, so a walk over them would have no bound in n.
+    d -> below((d, 0, ..., 0)) for 0 <= d <= q, and head(q) must equal
+    total.  `weight`, if given, says that below(x) is the sum of
+    weight(digits, period) over the necklaces strictly below x, each given
+    as its digit list and the period of its least rotation.
+    `bch.generator_row` passes none: necklaces whose orbit leaves its
+    ceiling weigh 0 there, so a walk over them would have no bound in n.
 
-    The answer lies in [lo, hi) with below(lo) < j <= below(hi).  Each probe
-    is the Illinois-weighted false-position point aimed at j - 1/2 (ITP:
-    Oliveira & Takahashi, ACM TOMS 2020), truncated by
-    delta = width^2 / spread toward the midpoint and clamped into the
-    projection window, which keeps the bracket after probe k at most
-    2^(budget-k-1) wide, with budget = n * ceil(log2 q) + 2.  The probe
-    never leaves the window, so no input takes more than `budget` probes:
-    bisection's worst case plus two.
-
-    With a weight, the search stops probing once below_hi - below_lo <= n
-    and walks from lo to the necklace at which the weights reach
-    j - below_lo; n successor steps cost less than one probe, and the
-    search would need about log2 n more.
+    `_narrow` runs over the digits [0, q] when there is a head, with budget
+    ceil(log2 q) + 2 (so at most ceil(log2 q) + 3 head evaluations), then
+    over the words, with budget n * ceil(log2 q) + 2.  With a weight it
+    stops once below_hi - below_lo <= n and walks from lo to the necklace at
+    which the weights reach j - below_lo: n successor steps cost less than
+    one probe, and the search would need about log2 n more.
     """
-    budget = n * (q - 1).bit_length() + 2
+    bits = (q - 1).bit_length()
     lo, hi, below_lo, below_hi = 0, q**n, 0, total
     if head is not None:
         if head(q) != total:
             raise InvariantViolated("closed-form orbit count disagrees with the counted total")
-        first, past = 0, q
-        while past - first > 1:
-            d = (first + past) // 2
-            if head(d) < j:
-                first = d
-            else:
-                past = d
-        step = q ** (n - 1)
-        lo, hi, below_lo, below_hi = first * step, past * step, head(first), head(past)
-    # ITP truncation width^2 / spread: on the first probe one unit of the
-    # bracket's leading free digit, shrinking quadratically with the bracket.
-    spread = q * (hi - lo)
-    probes = last = run = 0
-    while hi - lo > 1:
-        if weight is not None and below_hi - below_lo <= n:
-            return _walk(n, q, lo, hi, j - below_lo, weight)
-        width = hi - lo
-        reach = 1 << (budget - probes - 1)
-        low, high = max(lo + 1, hi - reach), min(hi - 1, lo + reach)
-        mid = lo + width // 2
-        # Twice the distances of the ends' counts from the target j - 1/2.
-        short, over = 2 * (j - below_lo) - 1, 2 * (below_hi - j) + 1
-        if run > 1:  # Illinois: halve the weight of an end kept twice or more
-            if last > 0:
-                short <<= run - 1
-            else:
-                over <<= run - 1
-        x = lo + width * short // (short + over)
-        delta = width * width // spread
-        if delta >= abs(mid - x):
-            x = mid
-        else:
-            x += delta if x < mid else -delta
-        x = max(low, min(x, high))
-        probes += 1
-        value = below(NkString.from_int(n, q, x))
-        side = 1 if value < j else -1
-        if side > 0:
-            lo, below_lo = x, value
-        else:
-            hi, below_hi = x, value
-        run = run + 1 if side == last else 1
-        last = side
+        first, _, below_lo, below_hi = _narrow(q, j, head, 0, q, 0, total, bits + 2)
+        lo, hi = first * q ** (n - 1), (first + 1) * q ** (n - 1)
+    lo, hi, below_lo, below_hi = _narrow(
+        q, j, lambda x: below(NkString.from_int(n, q, x)), lo, hi, below_lo, below_hi,
+        n * bits + 2, n if weight is not None else 0)
+    if hi - lo > 1:
+        return _walk(n, q, lo, hi, j - below_lo, weight)
     return NkString.from_int(n, q, lo)
 
 

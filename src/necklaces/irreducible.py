@@ -14,7 +14,7 @@ exponent words; it is not lexicographic on polynomial coefficients.
 from . import counting, indexing
 from .errors import NotAperiodic
 from .indexing import TOO_LARGE
-from .gf import format_fq, minimal_polynomial
+from .gf import check_degree, format_fq, minimal_polynomial
 
 
 def count_irreducible(q, n):
@@ -24,6 +24,7 @@ def count_irreducible(q, n):
     of the exponent correspondence never meets an aperiodic orbit and no
     correction is needed.
     """
+    check_degree(n)
     if n == 1:
         return q
     return counting.count_lyndon(n, q)

@@ -57,6 +57,14 @@ def test_irred_count_rejects_non_field_sizes(capsys, qspec):
     assert err.startswith("error: bad field size specification")
 
 
+@pytest.mark.parametrize("command", ["irred gen-advice 2 0 --seed 1", "irred gen-advice 3 -2 --seed 1",
+                                     "irred count 2 -1", "irred count 2^2 0"])
+def test_irred_refuses_a_degree_below_one(capsys, command):
+    for fmt in ("text", "json-lines"):
+        assert run(capsys, "--format", fmt, *command.split()) == (
+            2, "", "error: extension degree must be positive\n")
+
+
 def test_irred_count_over_prime_power(capsys):
     q, n = 4, 3
     closed = sum(counting.mobius(n // d) * q**d for d in counting.divisors(n)) // n

@@ -134,12 +134,28 @@ def test_paths_agree():
 
 
 def test_orbit_count_invariants_raise(monkeypatch):
-    """A count not divisible by its orbit size is a bug, reported as such."""
-    monkeypatch.setattr(counting, "count_words_below_period_exact", lambda x, p: 1)
+    """A count not divisible by its orbit size is a bug, reported as such.
+
+    W_1, W_2, W_4 = 0, 1, 2 gives exact counts E_2 = 1 and E_4 = 1, which
+    sizes 2 and 4 do not divide.
+    """
+    monkeypatch.setattr(counting, "_count_dividing_cached", lambda digits, q: (0, 1, 2))
     with pytest.raises(InvariantViolated):
         counting.count_necklaces_below(w("0110"))
     with pytest.raises(InvariantViolated):
         counting.count_lyndon_below(w("0110"))
+
+
+@pytest.mark.parametrize("count", [counting.count_necklaces_below, counting.count_lyndon_below],
+                         ids=["necklaces", "lyndon"])
+def test_orbit_count_reads_its_table_once(count):
+    """A cold orbit count looks its threshold's W table up once, not once per divisor."""
+    counting.clear_caches()
+    before = counting._count_dividing_cached.cache_info()
+    count(w("001011001101"))
+    after = counting._count_dividing_cached.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+    assert after.misses - before.misses == 1
 
 
 def test_two_sided_count():

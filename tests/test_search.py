@@ -176,7 +176,14 @@ def test_search_contract_on_flat_counts(counts, data):
     total = cum[-1]
     j = data.draw(st.integers(1, total), label="j")
     want = bisect(n, q, j, lambda x: cum[x.to_int()])
-    for head in (None, lambda d: cum[d * q ** (n - 1)]):
+    heads = 0
+
+    def head(d):
+        nonlocal heads
+        heads += 1
+        return cum[d * q ** (n - 1)]
+
+    for first in (None, head):
         probes = 0
 
         def below(x):
@@ -184,5 +191,7 @@ def test_search_contract_on_flat_counts(counts, data):
             probes += 1
             return cum[x.to_int()]
 
-        assert indexing._search(n, q, j, below, total, head) == want, (n, q, j, head)
-        assert probes <= budget(n, q), (n, q, j, head, probes)
+        assert indexing._search(n, q, j, below, total, first) == want, (n, q, j, first)
+        assert probes <= budget(n, q), (n, q, j, first, probes)
+    # The head(q) check plus the first digit's budget ceil(log2 q) + 2.
+    assert heads <= math.ceil(math.log2(q)) + 3, (n, q, j, heads)
