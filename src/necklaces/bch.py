@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import counting, engine, indexing
 from .errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
-from .gf import fq_kernel_basis, frobenius, pstrip
+from .gf import fq_kernel_basis, frobenius, generator_power, pstrip
 from .words import NkString, _Frozen, complement, fundamental_period, max_rotation, min_rotation
 
 MATRIX_COLUMN_LIMIT = 2**14
@@ -202,12 +202,12 @@ def column_element(ctx, index):
     """Generator-matrix column order: 0 first, then g^0, g^1, ..."""
     if index == 0:
         return ctx.zero
-    return ctx.pow(ctx.generator, index - 1)
+    return generator_power(ctx, index - 1)
 
 
 def nonzero_column_element(ctx, index):
     """Parity-matrix column order over nonzero elements: g^0, g^1, ..."""
-    return ctx.pow(ctx.generator, index)
+    return generator_power(ctx, index)
 
 
 def _brute_orbits(params):

@@ -61,6 +61,16 @@ The generic tuple-polynomial routines (padd, psub, pmul, pdivmod, pmod,
 pmonic, pgcd) over a coefficient field object have no production caller:
 they are the tests' independent reference arithmetic.
 
+Powers of the generator g, the class of T, come from a fixed-base table
+(generator_power): for each hex digit i of the group order q^n - 1, of
+b bits, it holds g^(d*16^i), d = 1..15, so 15*ceil(b/4) packed elements
+per FqnCtx, built on first use and kept next to subfield_bases.  g^e then
+costs one multiply per nonzero hex digit of e and no squaring, against
+about 1.5*b multiplies by binary powering.  Irreducible indexing, the BCH
+column elements and certify_primitive raise g this way; pow (binary
+powering) stays for variable bases: BCH entries alpha^m, inv and
+is_irreducible.
+
 The advice file format (normative for interoperability; unchanged by the
 packed representation):
 
@@ -732,6 +742,7 @@ class FqnCtx(_Ext):
         self._pack, self._unpack = self.kernel.pack, self.kernel.unpack
         self.generator = self._unpack(self.kernel.t)
         self.subfield_bases = {}  # ell -> basis tuple; filled by bch.subfield_basis
+        self.generator_powers = []  # packed g^(d*16^i) at 15i + d - 1; filled by generator_power
 
     def __repr__(self):
         return f"FqnCtx(q={self.q}, n={self.n}, primitive={self.primitive})"
@@ -746,6 +757,38 @@ def frobenius(fctx, a):
     """The q-power map, the generating automorphism of F_{q^n} over F_q."""
     k = fctx.kernel
     return k.unpack(k.frobenius(k.pack(a)))
+
+
+def generator_power(fctx, e):
+    """g^e for the class g of T and 0 <= e <= order, from a fixed-base table.
+
+    Row i of the table holds g^(d*16^i) for d = 1..15, one row per hex digit
+    of the order, built on first use and kept on fctx; the next row's base
+    g^(16^(i+1)) is the row's last entry times its base.  g^e is then the
+    product of one entry per nonzero hex digit of e, with no squaring
+    (Brickell, Gordon, McCurley and Wilson, "Fast exponentiation with
+    precomputation", EUROCRYPT '92; Lim and Lee, "More flexible
+    exponentiation with precomputation", CRYPTO '94).
+    """
+    if not 0 <= e <= fctx.order:
+        raise ValueError(f"exponent {e} outside 0..{fctx.order}")
+    k, table = fctx.kernel, fctx.generator_powers
+    if not table:
+        base = k.t
+        for _ in range(-(-fctx.order.bit_length() // 4)):
+            row = [base]
+            for _ in range(14):
+                row.append(k.mul(row[-1], base))
+            table.extend(row)
+            base = k.mul(row[-1], base)
+    acc, at = None, -1
+    while e:
+        if e & 15:
+            entry = table[at + (e & 15)]
+            acc = entry if acc is None else k.mul(acc, entry)
+        e >>= 4
+        at += 15
+    return fctx.one if acc is None else k.unpack(acc)
 
 
 def minimal_polynomial(fctx, a):
@@ -847,8 +890,8 @@ def certify_primitive(ctx, factors):
     g^(order/r) is 1.
     """
     check_factorization(ctx.order, factors)
-    g = ctx.generator
-    return bool(g) and all(ctx.pow(g, ctx.order // r) != ctx.one for r in sorted(set(factors)))
+    return bool(ctx.generator) and all(
+        generator_power(ctx, ctx.order // r) != ctx.one for r in sorted(set(factors)))
 
 
 # ---------------------------------------------------------------------------

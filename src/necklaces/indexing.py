@@ -144,6 +144,17 @@ def _search(n, q, j, below, total, head=None, weight=None):
     return NkString.from_int(n, q, lo)
 
 
+def _head(n, q, lyndon):
+    """d -> orbits below (d, 0, ..., 0) in closed form, the total evaluated once.
+
+    All orbits lie below the virtual word (q, 0, ..., 0); those not below
+    (d, 0, ..., 0) are the orbits over the q - d letters {d, ..., q-1}
+    (`counting.orbits_below_digit`), so each evaluation runs one closed form.
+    """
+    every = counting.orbits_below_digit(n, q, q, lyndon)
+    return lambda d: every - counting.orbits_in_closed_form(n, q - d, lyndon)
+
+
 def index_necklace(n, q, j):
     """The j-th orbit's minimal representative, or TOO_LARGE past the count."""
     if j < 1:
@@ -151,8 +162,8 @@ def index_necklace(n, q, j):
     total = counting.count_necklaces(n, q)
     if j > total:
         return TOO_LARGE
-    return _search(n, q, j, counting.count_necklaces_below, total,
-                   lambda d: counting.orbits_below_digit(n, q, d), lambda a, p: 1)
+    return _search(n, q, j, counting.count_necklaces_below, total, _head(n, q, False),
+                   lambda a, p: 1)
 
 
 def reverse_index_necklace(x):
@@ -169,8 +180,7 @@ def index_lyndon(n, q, j):
     total = counting.count_lyndon(n, q)
     if j > total:
         return TOO_LARGE
-    return _search(n, q, j, counting.count_lyndon_below, total,
-                   lambda d: counting.orbits_below_digit(n, q, d, lyndon=True),
+    return _search(n, q, j, counting.count_lyndon_below, total, _head(n, q, True),
                    lambda a, p: p == n)
 
 

@@ -4,8 +4,9 @@ A degree-n irreducible corresponds to the orbit of its roots under the
 q-power map; writing a nonzero field element as a power g^a of a primitive
 root and a in base q identifies these orbits with aperiodic rotation orbits
 of base-q words (multiplication by q rotates the digit word).  Indexing an
-irreducible therefore unranks a Lyndon word, exponentiates, and multiplies
-the conjugate linear factors back together.
+irreducible therefore unranks a Lyndon word, raises g to the word's integer
+value (`gf.generator_power`, one table product per nonzero hex digit of the
+exponent), and multiplies the conjugate linear factors back together.
 
 The index order is inherited from the Lyndon lexicographic order of the
 exponent words; it is not lexicographic on polynomial coefficients.
@@ -14,7 +15,7 @@ exponent words; it is not lexicographic on polynomial coefficients.
 from . import counting, indexing
 from .errors import NotAperiodic
 from .indexing import TOO_LARGE
-from .gf import check_degree, format_fq, minimal_polynomial
+from .gf import check_degree, format_fq, generator_power, minimal_polynomial
 
 
 def count_irreducible(q, n):
@@ -48,7 +49,7 @@ def index_irreducible(fctx, i):
         # The root correspondence misses P(T) = T (root 0); prepend it.
         if i == 1:
             return (fctx.base.zero, fctx.base.one)
-        root = fctx.pow(fctx.generator, i - 2)
+        root = generator_power(fctx, i - 2)
         scalar = root[0] if root else fctx.base.zero
         return (fctx.base.neg(scalar), fctx.base.one)
     word = indexing.index_lyndon(n, q, i)
@@ -58,7 +59,7 @@ def index_irreducible(fctx, i):
     if all(d == q - 1 for d in word.digits):
         raise NotAperiodic("lyndon index returned the periodic all-(q-1) word")
     exponent = word.to_int()
-    alpha = fctx.pow(fctx.generator, exponent)
+    alpha = generator_power(fctx, exponent)
     return minimal_polynomial(fctx, alpha)
 
 

@@ -1,6 +1,8 @@
 import random
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from necklaces import bch, gf, irreducible, oracle
 from necklaces.errors import (
@@ -279,6 +281,48 @@ def test_primitive_powers_exhaust_group(f2):
             x = ctx.mul(x, ctx.generator)
         assert len(seen) == 2**n - 1
         assert x == ctx.one
+
+
+GENERATOR_FIELDS = [(2, 1), (5, 1), (2, 20), (4, 6), (2**16, 3)]
+
+
+@pytest.fixture(scope="module")
+def primitive_fields():
+    return [gf.find_primitive_polynomial(gf.default_fq_ctx(q), n, gf.factorize(q**n - 1), 1)
+            for q, n in GENERATOR_FIELDS]
+
+
+def test_generator_power_reaches_every_table_entry(primitive_fields):
+    """Entry 15i + d - 1 is g^(d*16^i), and g^(d*16^i) reads it alone when it is <= order."""
+    for ctx in primitive_fields:
+        gf.generator_power(ctx, 1)
+        table = ctx.generator_powers
+        rows = -(-ctx.order.bit_length() // 4)
+        assert len(table) == 15 * rows
+        for i in range(rows):
+            for d in range(1, 16):
+                e = d * 16**i
+                power = ctx.pow(ctx.generator, e)
+                assert ctx.kernel.unpack(table[15 * i + d - 1]) == power, (ctx, i, d)
+                if e <= ctx.order:
+                    assert gf.generator_power(ctx, e) == power, (ctx, e)
+        assert ctx.generator_powers is table and len(table) == 15 * rows  # built once
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@hypothesis.given(st.sampled_from(range(len(GENERATOR_FIELDS))), st.data())
+def test_generator_power_matches_pow(primitive_fields, which, data):
+    ctx = primitive_fields[which]
+    drawn = data.draw(st.integers(0, ctx.order))
+    for e in (0, 1, ctx.order - 1, ctx.order, drawn):
+        assert gf.generator_power(ctx, e) == ctx.pow(ctx.generator, e), (ctx, e)
+
+
+def test_generator_power_refuses_exponents_outside_the_group(primitive_fields):
+    for ctx in primitive_fields:
+        for e in (-1, ctx.order + 1):
+            with pytest.raises(ValueError):
+                gf.generator_power(ctx, e)
 
 
 def test_advice_round_trip(tmp_path):

@@ -118,6 +118,36 @@ def test_head_must_match_the_counted_total(monkeypatch):
         indexing.index_lyndon(6, 2, 3)
 
 
+@pytest.mark.parametrize("kind", sorted(UNRANK))
+def test_head_evaluates_the_total_once(monkeypatch, kind):
+    """Each head call runs one closed form, on q - d letters; the q-letter total runs once."""
+    unrank, count = UNRANK[kind]
+    n, q = 10, 2**26
+    letters, heads = [], []
+    closed_form, search = counting.orbits_in_closed_form, indexing._search
+
+    def counted(n, k, lyndon=False):
+        letters.append(k)
+        return closed_form(n, k, lyndon)
+
+    def spied(n, q, j, below, total, head, weight):
+        def counted_head(d):
+            heads.append(d)
+            return head(d)
+        return search(n, q, j, below, total, counted_head, weight)
+
+    monkeypatch.setattr(counting, "orbits_in_closed_form", counted)
+    monkeypatch.setattr(indexing, "_search", spied)
+    rng, total = random.Random(23), count(n, q)
+    for j in [1, total] + [rng.randint(1, total) for _ in range(8)]:
+        letters.clear()
+        heads.clear()
+        unrank(n, q, j)
+        assert len(heads) >= 2 and heads[0] == q
+        assert letters.count(q) == 1, (j, len(heads), letters.count(q))
+        assert sorted(k for k in letters if k != q) == sorted([0] + [q - d for d in heads])
+
+
 def _head_word(n, q, d):
     return NkString(n, q, (d,) + (0,) * (n - 1))
 

@@ -88,19 +88,25 @@ def test_field_caches_stay_bounded():
     then keeps that size.  Under tracemalloc these calls run about 11 times
     slower, so the second half is less than a third of the first; an
     unbounded row memo still adds over 200 KiB there.  The divisor tables
-    and closed forms hold a few keys per context, and each context's
-    subfield bases one per divisor of n.
+    and closed forms hold a few keys per context, each context's subfield
+    bases one per divisor of n, and its fixed-base table of generator powers
+    (`gf.generator_power`) 15 per hex digit of the group order, built once.
     """
     fields = [gf.find_primitive_polynomial(gf.default_fq_ctx(q), n, gf.factorize(q**n - 1), 1)
               for q, n in FIELDS]
+    tables = [f.generator_powers for f in fields]
+    sizes = [15 * -(-f.order.bit_length() // 4) for f in fields]
     rng = random.Random(7)
-    full = []
+    full, table_sizes = [], []
 
     def run(calls):
         _field_run(rng, fields, calls)
         full.append([c.cache_info().currsize == c.cache_info().maxsize
                      for c in (bch._cumulative_rows, counting._count_dividing_cached)])
+        table_sizes.append([len(t) if f.generator_powers is t else None
+                            for f, t in zip(fields, tables)])
 
     first, second = _readings(run, (1280, 400))
     assert full[0] == [True, True], full
+    assert table_sizes == [sizes, sizes], (table_sizes, sizes)
     assert second <= first + 32 * 1024, (first, second)
