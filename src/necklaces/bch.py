@@ -75,7 +75,14 @@ def _cumulative_rows(n, q, x_digits, d_digits):
 
 
 def generator_row(params, r):
-    """Row r as (orbit, position-in-orbit), ranked by minimal representative."""
+    """Row r as (orbit, position-in-orbit), ranked by minimal representative.
+
+    The search has no head, so its word phase starts on the whole range
+    [0, q^n] and interpolates in s = 1 - (1 - x/q^n)^n (`indexing` module
+    docstring): the rows below x are the words whose least rotation lies
+    below x and whose orbit stays within {0, ..., d}, close to that share
+    of all words when d is near q^n.
+    """
     ctx = params.ctx
     n, q = ctx.n, ctx.q
     if r < 1:

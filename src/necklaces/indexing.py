@@ -10,7 +10,25 @@ at most n orbits remain in the bracket it steps through them with the FKM
 successor (Ruskey, Savage and Wang, J. Algorithms 1992): n steps cost less
 than one probe, and the search would need about log2 n.
 Ranking counts the orbits below the canonical rotation.  Ranks are 1-based.
+
+Over a whole range [0, X] the counts are strongly concave.  A word's least
+rotation lies below t * q^n unless all n of its rotations lie above, and
+were the rotations independent uniform words that would happen with
+chance (1 - t)^n; an orbit of n words is counted once, so the share of the
+orbits below t * q^n is close to 1 - (1 - t)^n.  For the first digit it is
+exact up to periodic orbits: the words with no letter below d number
+(q - d)^n.  Plain false position aims its first probes far past the answer
+on such a count and spends the two probes of slack, after which the
+projection window admits only midpoints, to the end of the budget.  So a
+phase whose bracket starts as the whole range of its variable (the first
+digit over [0, q]; the words over [0, q^n] when there is no head, as for
+`bch.generator_row`) takes its false-position point in
+s = 1 - (1 - x/X)^n and maps it back to x.  The words inside one
+first-digit bucket do not follow that shape, so the phase after a head
+stays linear.
 """
+
+import math
 
 from . import counting
 from .errors import InvariantViolated, NotAperiodic
@@ -73,7 +91,7 @@ def _walk(n, q, lo, hi, target, weight):
     raise InvariantViolated("necklace walk left the bracket; the counts disagree")
 
 
-def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=0):
+def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=0, power=0):
     """(lo, hi, count_lo, count_hi) narrowed until hi - lo = 1 or count_hi - count_lo <= stop.
 
     `count` is nondecreasing, count(lo) < j <= count(hi) throughout, and
@@ -82,8 +100,17 @@ def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=0):
     TOMS 2020), moved at most delta = width^2 / (q * starting width) toward
     the midpoint and clamped into the projection window, which keeps the
     bracket after probe k at most 2^(budget-k-1) wide: at most `budget` probes.
+
+    With `power` = n > 0 the bracket must start as [0, X], the whole range
+    of its variable, and while it is wider than X / 2^40 the false-position
+    point is taken in s = 1 - (1 - x/X)^n rather than in x (`_model_point`,
+    which turns only ratios into floats).  A narrower bracket has closed in
+    on the answer, where the count is locally linear, and interpolates in x.
+    The Illinois weights, the delta pull and the window are the same either
+    way, and so is the budget.
     """
     spread = q * (hi - lo)
+    end = hi
     run = 0  # > 0: lo moved run times in a row; < 0: hi moved -run times
     while hi - lo > 1 and count_hi - count_lo > stop:
         width = hi - lo
@@ -97,7 +124,10 @@ def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=0):
             short <<= run - 1
         elif run < -1:
             over <<= -run - 1
-        x = lo + width * short // (short + over)
+        if power and width << 40 > end:
+            x = lo + _model_point(power, width / (end - lo), short / (short + over), width)
+        else:
+            x = lo + width * short // (short + over)
         delta = width * width // spread
         x += max(-delta, min(mid - x, delta))
         x = max(low, min(x, high))
@@ -107,6 +137,24 @@ def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=0):
         else:
             hi, count_hi, run = x, value, min(run, 0) - 1
     return lo, hi, count_lo, count_hi
+
+
+def _model_point(n, b, r, width):
+    """Offset into the bracket [lo, lo + width] of its false-position point in s.
+
+    s = 1 - (1 - x/X)^n; b = width / (X - lo) is the share of [lo, X] that
+    the bracket covers and r the weighted share of the count's rise that
+    lies below the target.  With y = (x - lo) / (X - lo),
+    s(x) - s(lo) = (1 - s(lo)) * (1 - (1 - y)^n), so the point solves
+    1 - (1 - y)^n = r * (1 - (1 - b)^n) and the offset is width * y / b.
+    b and r come from int true division, which rounds the quotient of any
+    two ints, and y / b scales width in 53-bit fixed point: no int becomes a
+    float, so q^n past 2^1024 cannot overflow.  expm1 and log1p keep y
+    accurate when b or r is small.
+    """
+    m = r * -math.expm1(n * math.log1p(-b)) if b < 1 else r
+    y = -math.expm1(math.log1p(-m) / n) if m < 1 else 1.0
+    return width * int(y / b * (1 << 53)) >> 53
 
 
 def _search(n, q, j, below, total, head=None, weight=None):
@@ -124,21 +172,27 @@ def _search(n, q, j, below, total, head=None, weight=None):
 
     `_narrow` runs over the digits [0, q] when there is a head, with budget
     ceil(log2 q) + 2 (so at most ceil(log2 q) + 3 head evaluations), then
-    over the words, with budget n * ceil(log2 q) + 2.  With a weight it
-    stops once below_hi - below_lo <= n and walks from lo to the necklace at
-    which the weights reach j - below_lo: n successor steps cost less than
-    one probe, and the search would need about log2 n more.
+    over the words, with budget n * ceil(log2 q) + 2.  The digit phase, and
+    the word phase when there is no head, interpolate in the model
+    s = 1 - (1 - x/X)^n (module docstring).  The word phase after a head
+    interpolates in x: inside one first-digit bucket the model did not pay
+    (over 200 seeded necklace ranks at (10, 2^26), 21.75 word probes per
+    search plain, 32.19 with the model over the bucket and 21.66 with the
+    model over [0, q^n]).  With a weight it stops once
+    below_hi - below_lo <= n and walks from lo to the necklace at which the
+    weights reach j - below_lo: n successor steps cost less than one probe,
+    and the search would need about log2 n more.
     """
     bits = (q - 1).bit_length()
     lo, hi, below_lo, below_hi = 0, q**n, 0, total
     if head is not None:
         if head(q) != total:
             raise InvariantViolated("closed-form orbit count disagrees with the counted total")
-        first, _, below_lo, below_hi = _narrow(q, j, head, 0, q, 0, total, bits + 2)
+        first, _, below_lo, below_hi = _narrow(q, j, head, 0, q, 0, total, bits + 2, power=n)
         lo, hi = first * q ** (n - 1), (first + 1) * q ** (n - 1)
     lo, hi, below_lo, below_hi = _narrow(
         q, j, lambda x: below(NkString.from_int(n, q, x)), lo, hi, below_lo, below_hi,
-        n * bits + 2, n if weight is not None else 0)
+        n * bits + 2, stop=n if weight is not None else 0, power=n if head is None else 0)
     if hi - lo > 1:
         return _walk(n, q, lo, hi, j - below_lo, weight)
     return NkString.from_int(n, q, lo)

@@ -225,3 +225,160 @@ def test_search_contract_on_flat_counts(counts, data):
         assert probes <= budget(n, q), (n, q, j, first, probes)
     # The head(q) check plus the first digit's budget ceil(log2 q) + 2.
     assert heads <= math.ceil(math.log2(q)) + 3, (n, q, j, heads)
+
+
+@pytest.mark.parametrize("with_head", [False, True], ids=["words", "head"])
+@pytest.mark.parametrize("power", [3, 12])
+def test_search_past_the_float_range(with_head, power):
+    """At q^n = 2^1120 the model's point needs ratios only: no int becomes a float.
+
+    The count is size * (1 - (1 - x/size)^power), concave like the model's
+    1 - (1 - x/size)^70 but not equal to it.
+    """
+    n, q = 70, 2**16
+    size = q**n
+
+    def cum(x):
+        return size - (size - x) ** power // size ** (power - 1)
+
+    total = cum(size)
+    heads = 0
+
+    def head(d):
+        nonlocal heads
+        heads += 1
+        return cum(d * q ** (n - 1))
+
+    rng = random.Random(1120)
+    for j in [1, total, total // 2] + [rng.randint(1, total) for _ in range(3)]:
+        probes = 0
+
+        def below(x):
+            nonlocal probes
+            probes += 1
+            return cum(x.to_int())
+
+        heads = 0
+        got = indexing._search(n, q, j, below, total, head if with_head else None)
+        assert got == bisect(n, q, j, lambda x: cum(x.to_int())), (power, j)
+        assert probes <= budget(n, q), (power, j, probes)
+        assert heads <= math.ceil(math.log2(q)) + 3, (power, j, heads)
+
+
+@pytest.mark.parametrize("kind", sorted(UNRANK))
+def test_unrank_round_trips_past_the_float_range(kind):
+    unrank, count = UNRANK[kind]
+    rank = {"necklace": indexing.reverse_index_necklace,
+            "lyndon": indexing.reverse_index_lyndon}[kind]
+    n, q = 70, 2**16
+    rng, total = random.Random(70), count(n, q)
+    for j in [1, total] + [rng.randint(1, total) for _ in range(3)]:
+        word = unrank(n, q, j)
+        assert rank(word) == indexing.RankResult(j, word), j
+
+
+def test_generator_rows_do_not_lock_in(searches):
+    """Rows of F_{(2^16)^3} drawn as the field benchmark draws them.
+
+    Plain false position on the concave row count aims its first probes far
+    past the answer, and then the window admits only midpoints: without the
+    model, 13 of these 60 searches took all 50 probes.
+    """
+    q, n = 2**16, 3
+    base = gf.default_fq_ctx(q)
+    ctx = gf.find_primitive_polynomial(base, n, gf.factorize(q**n - 1), rng_seed=1)
+    d0 = q**n - q ** (n - 1)
+    rows = bch.generator_row_count(bch.BchParams(ctx, d0))
+    rng = random.Random(5)
+    for _ in range(60):
+        d, r = rng.randint(d0, q**n - 2), rng.randint(1, rows)
+        bch.generator_row(bch.BchParams(ctx, d), r)
+    probes = [seen[-1] for seen in searches]
+    assert len(probes) == 60
+    assert max(probes) < budget(n, q), sorted(probes)
+    assert sum(probes) / len(probes) <= 12, sorted(probes)
+    check(searches)
+
+
+@pytest.mark.parametrize("kind", sorted(UNRANK))
+def test_first_digit_does_not_lock_in(monkeypatch, kind):
+    """At (10, 2^26) the first digit takes at most 4 closed forms, head(q) included.
+
+    Plain false position took all 28 of the digit budget on 45 of these 200
+    ranks, of either kind.
+    """
+    unrank, count = UNRANK[kind]
+    n, q = 10, 2**26
+    heads, search = [], indexing._search
+
+    def spied(n, q, j, below, total, head, weight):
+        def counted_head(d):
+            heads[-1] += 1
+            return head(d)
+        return search(n, q, j, below, total, counted_head, weight)
+
+    monkeypatch.setattr(indexing, "_search", spied)
+    rng, total = random.Random(26), count(n, q)
+    for _ in range(200):
+        heads.append(0)
+        unrank(n, q, rng.randint(1, total))
+    assert max(heads) <= 4, sorted(heads)[-10:]
+
+
+@st.composite
+def _shaped_counts(draw):
+    """(n, q, cum) with cum close to T * (1 - (1 - x/q^n)^n), or to T * (x/q^n)^n.
+
+    The first, concave shape is the one the probe model expects (the share
+    of words whose least rotation lies below x); the second, convex one is
+    its opposite.  Each word's weight is the shape's rise across it plus a
+    seeded jitter, floored at 0.
+    """
+    q = draw(st.integers(2, 16), label="q")
+    n_max = max(n for n in range(1, 13) if q**n <= 4096)
+    n = draw(st.integers(1, n_max), label="n")
+    convex = draw(st.booleans(), label="convex")
+    size = q**n
+    scale = draw(st.integers(1, 4 * size), label="scale")
+    jitter = draw(st.integers(0, 6), label="jitter")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    if convex:
+        def shape(x):
+            return scale * x**n // size**n
+    else:
+        def shape(x):
+            return scale - scale * (size - x) ** n // size**n
+    cum = [0]
+    for x in range(size):
+        rise = shape(x + 1) - shape(x) + rng.randint(-jitter, jitter)
+        cum.append(cum[-1] + max(rise, 0))
+    if cum[-1] == 0:
+        cum[-1] = 1
+    return n, q, cum
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_shaped_counts(), st.data())
+def test_search_contract_on_shaped_counts(counts, data):
+    n, q, cum = counts
+    total = cum[-1]
+    j = data.draw(st.integers(1, total), label="j")
+    want = bisect(n, q, j, lambda x: cum[x.to_int()])
+    heads = 0
+
+    def head(d):
+        nonlocal heads
+        heads += 1
+        return cum[d * q ** (n - 1)]
+
+    for first in (None, head):
+        probes = 0
+
+        def below(x):
+            nonlocal probes
+            probes += 1
+            return cum[x.to_int()]
+
+        assert indexing._search(n, q, j, below, total, first) == want, (n, q, j, first)
+        assert probes <= budget(n, q), (n, q, j, first, probes)
+    assert heads <= math.ceil(math.log2(q)) + 3, (n, q, j, heads)
