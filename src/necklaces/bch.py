@@ -138,20 +138,23 @@ def generator_value(ctx, row, alpha):
 
     With orbit minimum m and basis element beta of the row, the entry is
     sum_k beta^(q^k) alpha^(m q^k) = sum_k Frob^k(gamma), gamma = beta alpha^m,
-    over k < |orbit|; alpha^0 = 1 even for alpha = 0.
+    over k < |orbit|; alpha^0 = 1 even for alpha = 0.  The sum runs on the
+    packed kernel, with one pack of beta and alpha and one unpack.
     """
     orbit, j = row
-    beta = subfield_basis(ctx, orbit.size)[j - 1]
+    k = ctx.kernel
+    beta = k.pack(subfield_basis(ctx, orbit.size)[j - 1])
     if orbit.m == 0:
         gamma = beta
     elif ctx.is_zero(alpha):
-        gamma = ctx.zero
+        gamma = 0
     else:
-        gamma = ctx.mul(beta, ctx.pow(alpha, orbit.m))
+        gamma = k.mul(beta, k.pow(k.pack(alpha), orbit.m))
     total = term = gamma
     for _ in range(orbit.size - 1):
-        term = frobenius(ctx, term)
-        total = ctx.add(total, term)
+        term = k.frobenius(term)
+        total = k.add(total, term)
+    total = k.unpack(total)
     if len(total) > 1:
         raise NotInBaseField("generator entry escaped the base field; basis bug")
     return total[0] if total else ctx.base.zero

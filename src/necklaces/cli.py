@@ -2,8 +2,15 @@
 
 Line-oriented, deterministic output; --format json-lines emits one JSON
 object per result instead.  Exit codes: 0 success (including TOO_LARGE,
-which is a valid answer), 2 malformed input, 3 invalid advice, 4 guardrail
-exceeded.
+which is a valid answer), 1 a failed selftest, 2 malformed input, 3 invalid
+advice, 4 guardrail exceeded.
+
+Every subcommand has one handler (set_defaults(handler=...)) that prints
+nothing and returns (inputs, result); `main` prints them once, as the JSON
+object {"op": "<command>[-<action>]", "inputs": ..., "result": ...} or as
+text: a list one line per item, a string as its lines.  selftest's result
+{"ok": ..., "checks": [...]} prints in text as its checks, then OK or
+FAILED, and a failed selftest exits 1.
 
 Subcommand modules are imported in their handlers so that a process pays
 only for what it runs; the import-guard test in tests/test_cli.py enforces
@@ -14,12 +21,7 @@ import argparse
 import sys
 
 from . import counting, indexing
-from .errors import (
-    BadFactorization,
-    InvalidAdvice,
-    NecklaceError,
-    TooBig,
-)
+from .errors import BadFactorization, InvalidAdvice, NecklaceError, TooBig
 from .indexing import TOO_LARGE
 from .words import format_word, parse_word, rotate
 
@@ -65,23 +67,6 @@ def _parse_element(fctx, text):
     return gf.pstrip(fctx.base, tuple(coeffs))
 
 
-class _Output:
-    def __init__(self, mode):
-        self.mode = mode
-
-    def emit(self, op, inputs, result):
-        if self.mode == "json-lines":
-            import json
-
-            print(json.dumps({"op": op, "inputs": inputs, "result": result}))
-        else:
-            if isinstance(result, list):
-                for line in result:
-                    print(line)
-            else:
-                print(result)
-
-
 def _load_advice(filename):
     from . import gf
 
@@ -91,67 +76,43 @@ def _load_advice(filename):
         raise InvalidAdvice(f"cannot read advice file: {exc}") from exc
 
 
-def _cmd_necklace(args, out):
+# kind -> (unrank, rank); `necklace count` is the one action the kinds do not share
+_ORBITS = {
+    "necklace": (indexing.index_necklace, indexing.reverse_index_necklace),
+    "lyndon": (indexing.index_lyndon, indexing.reverse_index_lyndon),
+}
+
+
+def _cmd_orbits(args):
     if args.action == "count":
         t = counting.count_necklaces(args.n, args.q)
-        a = counting.count_lyndon(args.n, args.q)
-        out.emit("necklace-count", {"n": args.n, "q": args.q}, f"{t} {a}")
-    elif args.action == "index":
-        got = indexing.index_necklace(args.n, args.q, args.j)
-        text = "TOO_LARGE" if got is TOO_LARGE else format_word(got)
-        out.emit("necklace-index", {"n": args.n, "q": args.q, "j": args.j}, text)
-    else:
-        word = parse_word(args.word, args.q)
-        res = indexing.reverse_index_necklace(word)
-        out.emit(
-            "necklace-rank",
-            {"word": args.word, "q": args.q},
-            f"{res.rank} {format_word(res.canonical)}",
-        )
-
-
-def _cmd_lyndon(args, out):
+        return {"n": args.n, "q": args.q}, f"{t} {counting.count_lyndon(args.n, args.q)}"
+    unrank, rank = _ORBITS[args.command]
     if args.action == "index":
-        got = indexing.index_lyndon(args.n, args.q, args.j)
+        got = unrank(args.n, args.q, args.j)
         text = "TOO_LARGE" if got is TOO_LARGE else format_word(got)
-        out.emit("lyndon-index", {"n": args.n, "q": args.q, "j": args.j}, text)
-    else:
-        word = parse_word(args.word, args.q)
-        res = indexing.reverse_index_lyndon(word)
-        out.emit(
-            "lyndon-rank",
-            {"word": args.word, "q": args.q},
-            f"{res.rank} {format_word(res.canonical)}",
-        )
+        return {"n": args.n, "q": args.q, "j": args.j}, text
+    res = rank(parse_word(args.word, args.q))
+    return {"word": args.word, "q": args.q}, f"{res.rank} {format_word(res.canonical)}"
 
 
-def _cmd_classes_less(args, out):
+def _cmd_classes_less(args):
     word = parse_word(args.word, args.q)
     if args.period is None:
         result = str(counting.count_necklaces_below(word))
     else:
         exact = counting.count_words_below_period_exact(word, args.period)
-        leq = counting.count_words_below_period_dividing(word, args.period)
-        result = f"{exact} {leq}"
-    out.emit(
-        "classes-less",
-        {"word": args.word, "q": args.q, "period": args.period},
-        result,
-    )
+        result = f"{exact} {counting.count_words_below_period_dividing(word, args.period)}"
+    return {"word": args.word, "q": args.q, "period": args.period}, result
 
 
-def _cmd_irred(args, out):
+def _cmd_irred(args):
     from . import gf, irreducible
 
     p, e = _parse_qspec(args.qspec)
     q = p**e
     if args.action == "count":
-        out.emit(
-            "irred-count",
-            {"q": q, "n": args.n},
-            str(irreducible.count_irreducible(q, args.n)),
-        )
-        return
+        return {"q": q, "n": args.n}, str(irreducible.count_irreducible(q, args.n))
     if args.action == "gen-advice":
         gf.check_degree(args.n)  # before q^n - 1 is factored
         order = q**args.n - 1
@@ -160,99 +121,70 @@ def _cmd_irred(args, out):
         base = gf.default_fq_ctx(q)
         factors = args.factors if args.factors else gf.factorize(order)
         fctx = gf.find_primitive_polynomial(base, args.n, factors, args.seed)
-        text = gf.format_advice(fctx, factors=factors)
-        out.emit(
-            "irred-gen-advice",
-            {"q": q, "n": args.n, "seed": args.seed},
-            text.rstrip("\n").split("\n") if out.mode == "text" else text,
-        )
-        return
+        return {"q": q, "n": args.n, "seed": args.seed}, gf.format_advice(fctx, factors=factors)
     fctx = _load_advice(args.advice)
     if fctx.q != q or fctx.n != args.n:
-        raise InvalidAdvice(
-            f"advice describes q={fctx.q}, n={fctx.n}; requested q={q}, n={args.n}"
-        )
+        raise InvalidAdvice(f"advice describes q={fctx.q}, n={fctx.n}; "
+                            f"requested q={q}, n={args.n}")
     got = irreducible.index_irreducible(fctx, args.i)
     text = "TOO_LARGE" if got is TOO_LARGE else irreducible.format_poly(fctx, got)
-    out.emit("irred-index", {"q": q, "n": args.n, "i": args.i}, text)
+    return {"q": q, "n": args.n, "i": args.i}, text
 
 
-def _cmd_bch(args, out):
+def _cmd_bch(args):
     from . import bch, gf
 
     fctx = _load_advice(args.advice)
     params = bch.BchParams(fctx, args.d)
     inputs = {"q": fctx.q, "n": fctx.n, "d": args.d}
     if args.action == "rows":
-        result = f"{bch.generator_row_count(params)} {bch.parity_row_count(params)}"
-        out.emit("bch-rows", inputs, result)
-        return
-    if args.action == "gen-entry":
+        return inputs, f"{bch.generator_row_count(params)} {bch.parity_row_count(params)}"
+    if args.action.endswith("-entry"):
         alpha = _parse_element(fctx, args.col)
-        value = bch.generator_entry(params, args.row, alpha)
-        out.emit("bch-gen-entry", {**inputs, "row": args.row, "col": args.col},
-                 gf.format_fq(fctx.base, value))
-        return
-    if args.action == "pc-entry":
-        alpha = _parse_element(fctx, args.col)
-        value = bch.parity_entry(params, args.row, alpha)
-        out.emit("bch-pc-entry", {**inputs, "row": args.row, "col": args.col},
-                 _format_element(fctx, value))
-        return
+        inputs.update(row=args.row, col=args.col)
+        if args.action == "gen-entry":
+            return inputs, gf.format_fq(fctx.base, bch.generator_entry(params, args.row, alpha))
+        return inputs, _format_element(fctx, bch.parity_entry(params, args.row, alpha))
     columns = fctx.q**fctx.n
     if columns > bch.MATRIX_COLUMN_LIMIT:
         raise TooBig(f"{columns} columns exceed the full-matrix limit")
     if args.action == "gen-matrix":
-        lines = []
         cols = [bch.column_element(fctx, c) for c in range(columns)]
-        for r in range(1, bch.generator_row_count(params) + 1):
-            row = bch.generator_row(params, r)
-            lines.append(" ".join(gf.format_fq(fctx.base, bch.generator_value(fctx, row, a))
-                                  for a in cols))
-        out.emit("bch-gen-matrix", inputs, lines)
-        return
-    lines = []
+        rows = (bch.generator_row(params, r)
+                for r in range(1, bch.generator_row_count(params) + 1))
+        return inputs, [" ".join(gf.format_fq(fctx.base, bch.generator_value(fctx, row, a))
+                                 for a in cols) for row in rows]
     cols = [bch.nonzero_column_element(fctx, c) for c in range(columns - 1)]
-    for r in range(1, bch.parity_row_count(params) + 1):
-        orbit = bch.parity_row(params, r)
-        lines.append(" ".join(_format_element(fctx, bch.parity_value(fctx, orbit, a))
-                              for a in cols))
-    out.emit("bch-pc-matrix", inputs, lines)
+    orbits = (bch.parity_row(params, r) for r in range(1, bch.parity_row_count(params) + 1))
+    return inputs, [" ".join(_format_element(fctx, bch.parity_value(fctx, orbit, a))
+                             for a in cols) for orbit in orbits]
 
 
-def _cmd_topheavy(args, out):
+def _cmd_topheavy(args):
     from . import topheavy
 
+    if args.action == "count":
+        return {"n": args.n}, str(topheavy.count_top_heavy(args.n))
+    word = parse_word(args.word, 2)
     if args.action == "check":
-        word = parse_word(args.word, 2)
-        out.emit(
-            "topheavy-check",
-            {"word": args.word},
-            "true" if topheavy.is_top_heavy(word) else "false",
-        )
-    elif args.action == "canon":
-        word = parse_word(args.word, 2)
-        shift = topheavy.top_heavy_rotation(word)
-        out.emit(
-            "topheavy-canon",
-            {"word": args.word},
-            f"{shift} {format_word(rotate(word, shift))}",
-        )
-    else:
-        out.emit("topheavy-count", {"n": args.n}, str(topheavy.count_top_heavy(args.n)))
+        return {"word": args.word}, "true" if topheavy.is_top_heavy(word) else "false"
+    shift = topheavy.top_heavy_rotation(word)
+    return {"word": args.word}, f"{shift} {format_word(rotate(word, shift))}"
 
 
-def _cmd_selftest(args, out):
+def _cmd_selftest(args):
     from . import oracle
 
     ok, lines = oracle.selftest(max_n_binary=args.max_n)
-    if out.mode == "json-lines":
-        out.emit("selftest", {"max_n": args.max_n}, {"ok": ok, "checks": lines})
-    else:
-        for line in lines:
-            print(line)
-        print("OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return {"max_n": args.max_n}, {"ok": ok, "checks": lines}
+
+
+def _actions(sub, command, help_, handler, names):
+    """Parsers of command's actions by name, every one run by handler."""
+    parser = sub.add_parser(command, help=help_)
+    parser.set_defaults(handler=handler)
+    actions = parser.add_subparsers(dest="action", required=True)
+    return {name: actions.add_parser(name) for name in names}
 
 
 def build_parser():
@@ -261,117 +193,81 @@ def build_parser():
         description="Rank/unrank necklaces and Lyndon words; index irreducible "
         "polynomials; compute BCH matrix entries.",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json-lines"),
-        default="text",
-        dest="format_",
-    )
+    parser.add_argument("--format", choices=("text", "json-lines"), default="text", dest="format_")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    neck = sub.add_parser("necklace", help="necklace counting, indexing, ranking")
-    neck_sub = neck.add_subparsers(dest="action", required=True)
-    pc = neck_sub.add_parser("count")
-    pc.add_argument("n", type=int)
-    pc.add_argument("q", type=int)
-    pi = neck_sub.add_parser("index")
-    pi.add_argument("n", type=int)
-    pi.add_argument("q", type=int)
-    pi.add_argument("j", type=int)
-    pr = neck_sub.add_parser("rank")
-    pr.add_argument("word")
-    pr.add_argument("--q", type=int, required=True)
-
-    lyn = sub.add_parser("lyndon", help="Lyndon word indexing and ranking")
-    lyn_sub = lyn.add_subparsers(dest="action", required=True)
-    li = lyn_sub.add_parser("index")
-    li.add_argument("n", type=int)
-    li.add_argument("q", type=int)
-    li.add_argument("j", type=int)
-    lr = lyn_sub.add_parser("rank")
-    lr.add_argument("word")
-    lr.add_argument("--q", type=int, required=True)
+    necklace = _actions(sub, "necklace", "necklace counting, indexing, ranking", _cmd_orbits,
+                        ("count", "index", "rank"))
+    lyndon = _actions(sub, "lyndon", "Lyndon word indexing and ranking", _cmd_orbits,
+                      ("index", "rank"))
+    for dest in ("n", "q"):
+        necklace["count"].add_argument(dest, type=int)
+    for kind in (necklace, lyndon):
+        for dest in ("n", "q", "j"):
+            kind["index"].add_argument(dest, type=int)
+        kind["rank"].add_argument("word")
+        kind["rank"].add_argument("--q", type=int, required=True)
 
     cl = sub.add_parser("classes-less", help="orbits or words below a threshold word")
+    cl.set_defaults(handler=_cmd_classes_less)
     cl.add_argument("word")
     cl.add_argument("--q", type=int, required=True)
     cl.add_argument("--period", type=int, default=None)
 
-    irr = sub.add_parser("irred", help="irreducible polynomial indexing")
-    irr_sub = irr.add_subparsers(dest="action", required=True)
-    ic = irr_sub.add_parser("count")
-    ic.add_argument("qspec")
-    ic.add_argument("n", type=int)
-    ii = irr_sub.add_parser("index")
-    ii.add_argument("qspec")
-    ii.add_argument("n", type=int)
-    ii.add_argument("i", type=int)
-    ii.add_argument("--advice", required=True)
-    ig = irr_sub.add_parser("gen-advice")
-    ig.add_argument("qspec")
-    ig.add_argument("n", type=int)
-    ig.add_argument("--seed", type=int, required=True)
-    ig.add_argument("--factors", type=int, nargs="+", default=None)
+    irred = _actions(sub, "irred", "irreducible polynomial indexing", _cmd_irred,
+                     ("count", "index", "gen-advice"))
+    for sp in irred.values():
+        sp.add_argument("qspec")
+        sp.add_argument("n", type=int)
+    irred["index"].add_argument("i", type=int)
+    irred["index"].add_argument("--advice", required=True)
+    irred["gen-advice"].add_argument("--seed", type=int, required=True)
+    irred["gen-advice"].add_argument("--factors", type=int, nargs="+", default=None)
 
-    bh = sub.add_parser("bch", help="BCH generator / parity-check matrix access")
-    bh_sub = bh.add_subparsers(dest="action", required=True)
-    for name, needs_rc in (
-        ("rows", False),
-        ("gen-entry", True),
-        ("pc-entry", True),
-        ("gen-matrix", False),
-        ("pc-matrix", False),
-    ):
-        sp = bh_sub.add_parser(name)
+    bch = _actions(sub, "bch", "BCH generator / parity-check matrix access", _cmd_bch,
+                   ("rows", "gen-entry", "pc-entry", "gen-matrix", "pc-matrix"))
+    for name, sp in bch.items():
         sp.add_argument("--advice", required=True)
         sp.add_argument("--d", type=int, required=True)
-        if needs_rc:
+        if name.endswith("-entry"):
             sp.add_argument("--row", type=int, required=True)
             sp.add_argument("--col", required=True)
 
-    th = sub.add_parser("topheavy", help="top-heavy canonical rotations (binary)")
-    th_sub = th.add_subparsers(dest="action", required=True)
-    tc = th_sub.add_parser("check")
-    tc.add_argument("word")
-    tn = th_sub.add_parser("canon")
-    tn.add_argument("word")
-    tt = th_sub.add_parser("count")
-    tt.add_argument("n", type=int)
+    top = _actions(sub, "topheavy", "top-heavy canonical rotations (binary)", _cmd_topheavy,
+                   ("check", "canon", "count"))
+    top["check"].add_argument("word")
+    top["canon"].add_argument("word")
+    top["count"].add_argument("n", type=int)
 
     st = sub.add_parser("selftest", help="reduced oracle-equivalence suite")
+    st.set_defaults(handler=_cmd_selftest)
     st.add_argument("--max-n", type=int, default=8)
 
     return parser
 
 
-_DISPATCH = {
-    "necklace": _cmd_necklace,
-    "lyndon": _cmd_lyndon,
-    "classes-less": _cmd_classes_less,
-    "irred": _cmd_irred,
-    "bch": _cmd_bch,
-    "topheavy": _cmd_topheavy,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = _Output(args.format_)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "selftest":
-            return _cmd_selftest(args, out)
-        _DISPATCH[args.command](args, out)
-        return 0
-    except (InvalidAdvice, BadFactorization) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TooBig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        inputs, result = args.handler(args)
+        failed = isinstance(result, dict) and not result["ok"]  # a failed selftest
+        if args.format_ == "json-lines":
+            import json
+
+            action = getattr(args, "action", None)
+            op = args.command if action is None else f"{args.command}-{action}"
+            print(json.dumps({"op": op, "inputs": inputs, "result": result}))
+        else:
+            if isinstance(result, dict):
+                result = [*result["checks"], "FAILED" if failed else "OK"]
+            for line in result if isinstance(result, list) else [result.rstrip("\n")]:
+                print(line)  # rstrip: the advice file's text ends in a newline
+        return 1 if failed else 0
     except (NecklaceError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (InvalidAdvice, BadFactorization)):
+            return 3
+        return 4 if isinstance(exc, TooBig) else 2
 
 
 if __name__ == "__main__":

@@ -35,10 +35,11 @@ from .errors import InvariantViolated, NotAperiodic
 from .words import (
     NkString,
     _Frozen,
-    fundamental_period,
+    _least_rotation,
     min_rotation,
     next_prenecklace,
     prenecklace_at_least,
+    rotate,
 )
 
 
@@ -239,10 +240,13 @@ def index_lyndon(n, q, j):
 
 
 def reverse_index_lyndon(x):
-    """Rank of x's orbit among aperiodic orbits; requires full period."""
-    period = fundamental_period(x)
+    """Rank of x's orbit among aperiodic orbits; requires full period.
+
+    One scan gives the period and the least rotation (`words._least_rotation`).
+    """
+    start, period = _least_rotation(x.digits)
     if period != x.n:
         raise NotAperiodic(f"word has period {period} < {x.n}")
-    canonical, _ = min_rotation(x)
+    canonical = rotate(x, x.n - start)
     rank = counting.count_lyndon_below(canonical) + 1
     return RankResult(rank, canonical)

@@ -19,15 +19,14 @@ from .gf import check_degree, format_fq, generator_power, minimal_polynomial
 
 
 def count_irreducible(q, n):
-    """|I_{q,n}|: all monic linear polynomials for n = 1, else Lyndon totals.
+    """|I_{q,n}|, the Lyndon total of length n over q letters.
 
     For n >= 2 the all-(q-1) digit word is periodic, so the excluded residue
     of the exponent correspondence never meets an aperiodic orbit and no
-    correction is needed.
+    correction is needed.  For n = 1 Witt's formula gives q, the monic
+    linear polynomials: index_irreducible adds T for the excluded residue.
     """
     check_degree(n)
-    if n == 1:
-        return q
     return counting.count_lyndon(n, q)
 
 

@@ -5,9 +5,9 @@ Python ints, most significant (leftmost) digit first, so that fixed-length
 lexicographic order coincides with base-q integer order.  q may be an
 arbitrary-precision integer; nothing here assumes symbols fit a machine word.
 
-min_rotation finds the least rotation and its period in one scan of the
-doubled word, by Duval's Lyndon factorization (J.-P. Duval, "Factorizing
-words over an ordered alphabet", J. Algorithms 4, 1983).
+min_rotation and fundamental_period read the least rotation and its period
+from one scan of the doubled word, by Duval's Lyndon factorization (J.-P.
+Duval, "Factorizing words over an ordered alphabet", J. Algorithms 4, 1983).
 
 Values are immutable and safe to share across threads.  Every function is
 pure except next_prenecklace, which advances a caller's digit list in place.
@@ -137,17 +137,6 @@ def borders(s):
     return b
 
 
-def fundamental_period(x):
-    """Smallest p with x equal to n/p copies of its length-p prefix; divides n.
-
-    The least period p0 is n minus the longest border.  By Fine-Wilf, p0 divides
-    every period d | n below n, so if p0 does not divide n, the answer is n.
-    """
-    n = x.n
-    p = n - borders(x.digits)[n]
-    return p if n % p == 0 else n
-
-
 def _least_rotation(s):
     """(start, p): s[start:] + s[:start] is the least rotation of s, p its least period.
 
@@ -168,6 +157,15 @@ def _least_rotation(s):
         if j == end:
             return i, p
         i += ((k - i) // p + 1) * p
+
+
+def fundamental_period(x):
+    """Smallest p with x equal to n/p copies of its length-p prefix; divides n.
+
+    Rotation keeps the period, and the least rotation is (Lyndon root)^(n/p),
+    so p is the root length that _least_rotation's scan ends on.
+    """
+    return _least_rotation(x.digits)[1]
 
 
 def min_rotation(x):
