@@ -48,8 +48,12 @@ reduction (Barrett, CRYPTO '86) with quotients by precomputed inverses
      per-slot fold that this replaces needed V = (2n-1)(2e-1)p^2: at
      q = 2^16, n = 3 that made slots 24 bits wide instead of 16.)
 
-mu_g is computed by long division over F_p, mu_F once per kernel by long
-division on one-row elements of the same kernel.  The slot layout lives in
+mu_g and mu_F are computed once per kernel, each by long division on the
+whole packed remainder: a step of the division by F is one multiply, one
+reduction and one subtraction over all 2n-1 rows, so a build makes n-1
+such steps and no loop over rows or slots.  The masks are one slot
+pattern times a repunit, and the constructor checks that both quotients
+reproduce their remainders.  The slot layout lives in
 _Packed alone: pack_row / unpack_row place one F_q element, and pack /
 unpack and from_int / to_int use the same bit offsets.  F_q is the
 kernel's n = 1 case F_q[T]/(T), its element in row 0, converted with
@@ -373,7 +377,10 @@ def is_irreducible(field, f):
     Frob^k(w) = T^(q^(k+m/r)) - T^(q^k) is read off the list of powers, so
     after m Frobenius maps each prime r costs 2m ring operations and one
     (q-1)-th power, all in the packed kernel, which needs no irreducibility
-    of f.
+    of f.  An f of degree m >= 2 with f(0) = 0 has the proper factor T and
+    is refused before a kernel is built: that is 1/q of the random draws of
+    find_primitive_polynomial and every p-th modulus of default_fq_ctx's
+    search in integer order.
     """
     m = len(f) - 1
     if m < 1:
@@ -386,6 +393,8 @@ def is_irreducible(field, f):
         g, f = (0, 1), tuple((c % field.p,) if c % field.p else () for c in f)
     else:
         g = field.g
+    if not any(f[0]):
+        return False  # T divides f, m >= 2: refused without a kernel
     kernel = _Packed(field.p, g, f)
     powers = [kernel.t]
     for _ in range(m):
@@ -403,6 +412,11 @@ def is_irreducible(field, f):
 
 # ---------------------------------------------------------------------------
 # the packed kernel: F_p[u, T]/(g(u), F(T)) on packed F_p coordinates
+
+
+def _repunit(k, w):
+    """1 in each of k consecutive w-bit slots: sum of 2^(j*w), j < k."""
+    return ((1 << k * w) - 1) // ((1 << w) - 1)
 
 
 class _Packed:
@@ -426,6 +440,11 @@ class _Packed:
         _tq_shift (n-2 rows, to Q);
       * _ps, p in every slot of a reduced element: sub and neg add it so
         that no slot goes negative.
+
+    Every mask is a pattern of one row or slot times a _repunit, and mu_g
+    and mu_F come from _divide.  A step of the division by F reads row i of
+    the remainder into mu_F and subtracts that row times F, shifted i - n
+    rows, from all 2n-1 rows at once.
     """
 
     one = 1
@@ -443,47 +462,54 @@ class _Packed:
         self._rowbits, self._rowb = stride * W, stride * wb
         self._wmask, self._rowmask = (1 << W) - 1, (1 << self._rowbits) - 1
         self._ebytes = n * self._rowb
-        in_range = [i * stride + k for i in range(n) for k in range(e)]
-        self._slots = [j * W for j in in_range]  # bit offsets, in order of i*e + k
-        self._ps = sum(p << (j * W) for j in in_range)
+        self._slots = [(i * stride + k) * W for i in range(n) for k in range(e)]  # order i*e + k
 
-        def every_row(value, ks):  # value in the slots k of rows 0..2n-2
-            row = sum(value << (k * W) for k in ks)
-            return sum(row << (i * self._rowbits) for i in range(2 * n - 1))
-
-        self._qmask = every_row((1 << (W - s)) - 1, range(stride))
-
-        # step 2: mu_g = floor(u^(2e-2) / g) and u^e - g
-        rem, mu_g = [0] * (2 * e - 2) + [1], [0] * (e - 1)
-        for i in range(2 * e - 2, e - 1, -1):
-            c = mu_g[i - e] = rem[i] % p
-            for j in range(e + 1):
-                rem[i - e + j] -= c * g[j]
-        self._mu_g, self._neg_g = self.pack_row(mu_g), self.pack_row([-c % p for c in g[:e]])
+        # Masks: a slot pattern times a repunit, one copy per slot or per row.
+        slots = _repunit((2 * n - 1) * stride, W)  # 1 in every slot of rows 0..2n-2
+        rows = _repunit(2 * n - 1, self._rowbits)  # 1 in slot 0 of rows 0..2n-2
+        self._qmask = ((1 << (W - s)) - 1) * slots
+        self._uquo, self._urem = ((1 << (e - 1) * W) - 1) * rows, ((1 << e * W) - 1) * rows
         self._uh_shift, self._uq_shift = e * W, (e - 2) * W
-        self._uquo = every_row(self._wmask, range(e - 1))
-        self._urem = every_row(self._wmask, range(e))
-
-        # step 3: mu_F = floor(T^(2n-2) / F), long division on one-row elements
-        f = [self.pack_row(c) for c in F]
-        rem, mu_F = [0] * (2 * n - 2) + [1], 0
-        for i in range(2 * n - 2, n - 1, -1):
-            c = rem[i]
-            mu_F |= c << ((i - n) * self._rowbits)
-            for j in range(n):
-                rem[i - n + j] = self.sub(rem[i - n + j], self._ureduce(self._mod_p(c * f[j])))
-        self._mu_F, self._neg_F = mu_F, self.neg(self.pack(F[:n]))
         self._th_shift, self._tq_shift = n * self._rowbits, (n - 2) * self._rowbits
         self._trem = (1 << self._th_shift) - 1
+        self._ps = p * _repunit(e, W) * rows & self._trem
+
+        # steps 2 and 3: mu_g = floor(u^(2e-2) / g) and mu_F = floor(T^(2n-2) / F)
+        gp, f, P = self.pack_row(g), self.pack(F), p * slots
+        self._mu_g, rho_g = self._divide(gp, e, W, P, lambda z: z)
+        self._neg_g = self.neg(gp - (1 << e * W))
+        self._mu_F, rho_F = self._divide(f, n, self._rowbits, P, self._ureduce)
+        self._neg_F = self.neg(f - (1 << self._th_shift))
         self.t = self._neg_F if n == 1 else 1 << self._rowbits  # T = -F_0 when n = 1
         self._frob = None
 
-        # A wrong mul fails here, not after a search that runs to its bound:
-        # T^(n-1) * T = T^n - F and u^(e-1) * u = u^e - g.
-        if (n > 1 and self.mul(self.t << (n - 2) * self._rowbits, self.t) != self._neg_F
-                or e > 1 and self.mul(1 << (e - 1) * W, 1 << W) != self._neg_g):
+        # A wrong mul or quotient fails here, not after a search that runs to
+        # its bound.  Each remainder has degree below its divisor's, and
+        # T^(n-1) * T^(n-1) = rho_F, u^(e-1) * u^(e-1) = rho_g: the quotient
+        # of each product is the whole of mu_F, or of mu_g.
+        top_t, top_u = 1 << (n - 1) * self._rowbits, 1 << (e - 1) * W
+        if (rho_F >> self._th_shift or rho_g >> e * W
+                or n > 1 and self.mul(top_t, top_t) != rho_F
+                or e > 1 and self.mul(top_u, top_u) != rho_g):
             raise InvariantViolated(
                 f"packed multiply of degree {n} over F_{self.q} fails its self-check")
+
+    def _divide(self, f, d, width, P, reduce):
+        """floor(X^(2d-2) / f) and X^(2d-2) mod f; f packed, monic of degree d in X = 2^width.
+
+        Long division on the whole packed remainder: step i moves the
+        coefficient of X^i into the quotient and subtracts it times f,
+        shifted i - d places, as one _mod_p(rem + P - ...).  P holds p in
+        every slot, so that no slot goes negative, and reduce takes the
+        coefficient times f back to reduced form (mod g for rows of F_q).
+        """
+        rem, quo, mask = 1 << (2 * d - 2) * width, 0, (1 << width) - 1
+        for i in range(2 * d - 2, d - 1, -1):
+            c = rem >> i * width & mask
+            if c:
+                quo |= c << (i - d) * width
+                rem = self._mod_p(rem + P - (reduce(self._mod_p(c * f)) << (i - d) * width))
+        return quo, rem
 
     def pack_row(self, c):
         """Packed form of one F_q coordinate tuple c (low first): c[k] at bit k*W."""

@@ -175,6 +175,31 @@ def test_irreducibility_examples(f2):
     assert not gf.is_irreducible(pf2, (1, 1, 1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("q, top", [(2, 10), (3, 5), (4, 5)])
+def test_is_irreducible_counts_every_degree(q, top):
+    """Over every monic polynomial of degree m <= top, exactly count_irreducible(q, m) pass.
+
+    is_irreducible refuses f with f(0) = 0 and m >= 2 before it builds a
+    kernel: T is then a proper factor, and such moduli are 1/q of the
+    random draws of find_primitive_polynomial, so the early refusal saves
+    that many kernel builds.  The count checks that it refuses nothing
+    else.  At q = 2 and 3 the prime field and its FqCtx are both run.
+    """
+    fq = gf.default_fq_ctx(q)
+    fields = [fq, fq.base] if fq.e == 1 else [fq]
+    for field in fields:
+        elements = [fq.element_from_int(v) for v in range(q)] if field is fq else list(range(q))
+        for m in range(1, top + 1):
+            found = 0
+            for v in range(q**m):
+                f = []
+                for _ in range(m):
+                    v, c = divmod(v, q)
+                    f.append(elements[c])
+                found += gf.is_irreducible(field, tuple(f) + (field.one,))
+            assert found == irreducible.count_irreducible(q, m), (field, m)
+
+
 def test_frobenius_is_automorphism(f8):
     rng = random.Random(47)
     assert gf.frobenius(f8, f8.one) == f8.one

@@ -11,7 +11,10 @@ compares them with the generic tuple routines over F_p[u]/g, on:
     F = (T - b)*F';
 
 for every n in {1, 2, 3, 8}, e in {1, 2, 3, 16} and p in
-{2, 3, 257, 65537, 2^61-1}.
+{2, 3, 257, 65537, 2^61-1}.  The Barrett constant mu_F is compared with
+the quotient of gf.pdivmod on the same grid and at q^n = 2^64, 2^128 and
+3^40, and a kernel whose mu_F or mu_g is wrong in one row has to fail its
+own self-check.
 """
 
 import random
@@ -20,6 +23,7 @@ import pytest
 
 from conftest import RefQuotient
 from necklaces import gf
+from necklaces.errors import InvariantViolated
 
 KERNELS = [(n, e, p) for n in (1, 2, 3, 8) for e in (1, 2, 3, 16)
            for p in (2, 3, 257, 65537, 2**61 - 1)]
@@ -62,20 +66,102 @@ def _times_linear(ring, rest, c):
     return gf.pmul(ring, (ring.sub(ring.zero, c), ring.one), rest)
 
 
-@pytest.mark.parametrize("n, e, p", KERNELS)
-def test_random_reducible_moduli(n, e, p):
+def _reducible_moduli(n, e, p, count=2):
+    """count pairs (g, F) with g = (u - a)*g' and F = (T - b)*F', drawn from a seeded rng.
+
+    Each pair comes with an element() that draws a reduced coordinate
+    tuple from the same rng.
+    """
     rng = random.Random(f"{n} {e} {p}")
     fp = gf._PrimeField(p)
-    for _ in range(2):
+
+    def element():
+        return gf.pstrip(fp, tuple(rng.randrange(p) for _ in range(e)))
+
+    for _ in range(count):
         g = _times_linear(fp, tuple(rng.randrange(p) for _ in range(e - 1)) + (1,),
                           rng.randrange(p))
         ring = RefQuotient(p, g, ((1,),))
-
-        def element():
-            return gf.pstrip(fp, tuple(rng.randrange(p) for _ in range(e)))
-
         F = _times_linear(ring, tuple(element() for _ in range(n - 1)) + ((1,),), element())
-        kernel, ref = gf._Packed(p, g, F), RefQuotient(p, g, F)
         assert len(g) == e + 1 and len(F) == n + 1
+        yield g, F, element
+
+
+@pytest.mark.parametrize("n, e, p", KERNELS)
+def test_random_reducible_moduli(n, e, p):
+    for g, F, element in _reducible_moduli(n, e, p):
+        kernel, ref = gf._Packed(p, g, F), RefQuotient(p, g, F)
         x, y = tuple(element() for _ in range(n)), tuple(element() for _ in range(n))
         _check(kernel, ref, x, y)
+
+
+def _check_constants(p, g, F):
+    """The kernel's mu_F, T^n - F and T^(2n-2) mod F against gf.pdivmod over F_p[u]/g."""
+    n = len(F) - 1
+    kernel, ring = gf._Packed(p, g, F), RefQuotient(p, g, F)
+    quotient, remainder = gf.pdivmod(ring, ((),) * (2 * n - 2) + ((1,),), ring.F)
+    assert kernel._mu_F == kernel.pack(quotient)
+    assert kernel._neg_F == kernel.pack(gf.pmod(ring, ((),) * n + ((1,),), ring.F))  # T^n - F
+    top = kernel.pack(((),) * (n - 1) + ((1,),))
+    assert kernel.unpack(kernel.mul(top, top)) == remainder
+
+
+@pytest.mark.parametrize("n, e, p", KERNELS)
+def test_mu_F_is_the_quotient_on_the_grid(n, e, p):
+    top = (p - 1,) * e
+    _check_constants(p, top + (1,), (top,) * n + ((1,),))
+    for g, F, _element in _reducible_moduli(n, e, p):
+        _check_constants(p, g, F)
+
+
+IRREDUCIBLE = [
+    (2, (1, 1, 0, 1, 1) + (0,) * 59 + (1,)),  # T^64 + T^4 + T^3 + T + 1
+    (2, (1, 1, 1, 0, 0, 0, 0, 1) + (0,) * 120 + (1,)),  # T^128 + T^7 + T^2 + T + 1
+    (3, (2, 1) + (0,) * 38 + (1,)),  # T^40 + T + 2
+]
+
+
+@pytest.mark.parametrize("p, f", IRREDUCIBLE, ids=["2^64", "2^128", "3^40"])
+def test_mu_F_is_the_quotient_at_large_degree(p, f):
+    fp = gf._PrimeField(p)
+    assert gf.is_irreducible(fp, f)
+    as_rows = tuple((c,) if c else () for c in f)
+    _check_constants(p, (0, 1), as_rows)
+    # the same degree with the factor T - 1: (T - 1) * (f - f(0)) / T
+    reducible = _times_linear(RefQuotient(p, (0, 1), ((1,),)), as_rows[1:], (1,))
+    assert len(reducible) == len(f)
+    assert not gf.is_irreducible(fp, tuple(c[0] if c else 0 for c in reducible))
+    _check_constants(p, (0, 1), reducible)
+
+
+@pytest.mark.parametrize("constant, p, g, F", [
+    ("_mu_F", 2, (0, 1), ((1,), (1,), (), (), (1,))),  # F = T^4 + T + 1, mu_F = T^2
+    ("_mu_g", 2, (1, 1, 0, 0, 1), ((), (1,))),  # g = u^4 + u + 1, mu_g = u^2
+])
+def test_a_wrong_quotient_row_fails_the_self_check(monkeypatch, constant, p, g, F):
+    """Row (or slot) 0 of the quotient, flipped before the self-check's first multiply.
+
+    A product by T (or u) alone reads only the quotient's leading row, so
+    T^(n-1) * T = T^n - F still holds with row 0 wrong; the self-check
+    squares T^(n-1) (u^(e-1)), whose quotient is the whole constant.
+    """
+    good = gf._Packed(p, g, F)
+    wrong = gf._Packed(p, g, F)
+    setattr(wrong, constant, getattr(wrong, constant) ^ 1)
+    n, e = good.n, good.e
+    lead = (1 << (n - 1) * good._rowbits) if constant == "_mu_F" else (1 << (e - 1) * good._bits)
+    step = good.t if constant == "_mu_F" else 1 << good._bits
+    assert wrong.mul(lead, step) == good.mul(lead, step)
+    assert wrong.mul(lead, lead) != good.mul(lead, lead)
+
+    mul = gf._Packed.mul
+
+    def flipped_first(self, x, y):
+        if not getattr(self, "flipped", False):
+            self.flipped = True
+            setattr(self, constant, getattr(self, constant) ^ 1)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(gf._Packed, "mul", flipped_first)
+    with pytest.raises(InvariantViolated):
+        gf._Packed(p, g, F)
