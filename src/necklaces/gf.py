@@ -893,11 +893,7 @@ def find_primitive_polynomial(base, n, factors, rng_seed):
     rng = random.Random(rng_seed)
     draws = _PRIMITIVE_DRAWS_PER_DEGREE * n
     for _ in range(draws):
-        coeffs = [base.element_from_int(rng.randrange(base.q)) for _ in range(n)]
-        coeffs.append(base.one)
-        f = pstrip(base, coeffs)
-        if len(f) != n + 1:
-            continue
+        f = tuple(base.element_from_int(rng.randrange(base.q)) for _ in range(n)) + (base.one,)
         if n > 1 and not is_irreducible(base, f):
             continue
         ctx = FqnCtx(base, n, f, primitive=False, _verified=True)

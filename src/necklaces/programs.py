@@ -20,7 +20,8 @@ the witness-prefix language is either a prefix of x or a prefix of x with
 its final 1 replaced by 0, so no sets of strings are ever materialized.
 Prefix tracking for the wraparound case must follow witness *suffixes*
 (arbitrary mid-x starting points), which the positional pairs cannot
-express; those states are labeled by their content directly.
+express; those states are labeled by their content, tested against two
+languages listed once at construction as O(n^2) substrings of x.
 
 Witness occurrences are restricted to starts at multiples of a block width
 t, which is what rotation by whole encoded symbols requires (t = 1 for a
@@ -180,70 +181,29 @@ class _PrefixTracker:
     A witness suffix is x[i:k]0 with x[k] = 1.  While the input prefix is
     still extendable to one, the state holds it verbatim; once it dies it is
     frozen to the longest input prefix that is a complete witness suffix.
+    `live` holds every prefix of a witness suffix (the empty word iff x has a 1).
     """
 
     def __init__(self, bits):
-        self.x = bits
-        self.n = len(bits)
-        self._memb = {}
-
-    def in_pref_suffix_lang(self, u):
-        if u == ():
-            return self.last_relevant()
-        key = ("p", u)
-        got = self._memb.get(key)
-        if got is None:
-            got = self._plain_prefix(u) or self._flipped_member(u)
-            self._memb[key] = got
-        return got
-
-    def last_relevant(self):
-        return any(b == 1 for b in self.x)
-
-    def _plain_prefix(self, u):
-        # u = x[i:i+|u|] for some i with a 1 somewhere at index >= i+|u|
-        x, n = self.x, self.n
-        m = len(u)
-        for i in range(n - m + 1):
-            if tuple(x[i:i + m]) == u and any(x[j] == 1 for j in range(i + m, n)):
-                return True
-        return False
-
-    def _flipped_member(self, u):
-        # u = x[i:k]0 with x[k] = 1 (a complete witness suffix)
-        x, n = self.x, self.n
-        m = len(u)
-        if m == 0 or u[-1] != 0:
-            return False
-        head = u[:-1]
-        for i in range(n - m + 1):
-            if tuple(x[i:i + m - 1]) == head and x[i + m - 1] == 1:
-                return True
-        return False
-
-    def in_suffix_lang(self, u):
-        return u == () or self._flipped_member(u)
-
-    def longest_suffix_lang_prefix(self, u):
-        for m in range(len(u), -1, -1):
-            if self.in_suffix_lang(u[:m]):
-                return u[:m]
-        return ()
+        ones = [k for k, b in enumerate(bits) if b == 1]
+        self.complete = {bits[i:k] + (0,) for k in ones for i in range(k + 1)}
+        last = ones[-1] if ones else -1
+        self.live = self.complete | {bits[i:j] for j in range(last + 1) for i in range(j + 1)}
 
     def step(self, state, bit):
         mode, content = state
         if mode == "frozen":
             return state
-        u2 = content + (bit,)
-        if self.in_pref_suffix_lang(u2):
-            return ("live", u2)
-        return ("frozen", self.longest_suffix_lang_prefix(u2))
+        u = content + (bit,)
+        if u in self.live:
+            return ("live", u)
+        return ("frozen", self.final_value(("live", u)))
 
     def final_value(self, state):
-        mode, content = state
+        mode, u = state
         if mode == "frozen":
-            return content
-        return self.longest_suffix_lang_prefix(content)
+            return u
+        return next((u[:m] for m in range(len(u), 0, -1) if u[:m] in self.complete), ())
 
 
 def _wrap_accepts(suffix_tracker, prefix_tracker, suffix_state, prefix_state, t):

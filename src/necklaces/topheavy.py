@@ -8,6 +8,7 @@ binary necklaces.  This module is an independent check on the main
 pipeline; all comparisons use integer cross-multiplication, never floats.
 """
 
+from .counting import divisors
 from .errors import ConstantString, NotBinary, NotPrime
 from .words import NkString, rotate
 
@@ -15,17 +16,6 @@ from .words import NkString, rotate
 def _require_binary(x):
     if x.q != 2:
         raise NotBinary("top-heaviness is defined for binary words")
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def is_top_heavy(x):
@@ -50,7 +40,7 @@ def top_heavy_rotation(x):
     """
     _require_binary(x)
     n = x.n
-    if not _is_prime(n):
+    if not (n >= 2 and len(divisors(n)) == 2):
         raise NotPrime(f"length {n} is not prime")
     weight = sum(x.digits)
     if weight in (0, n):
@@ -74,7 +64,7 @@ def count_top_heavy(n):
     together with the tightest weight cap floor(n * S / (j+1)) seen so far;
     a word is top-heavy exactly when its total weight is at most the cap.
     """
-    if not _is_prime(n):
+    if not (n >= 2 and len(divisors(n)) == 2):
         raise NotPrime(f"length {n} is not prime")
     # state: (prefix weight, running cap); cap n means "no constraint yet"
     frontier = {(0, n): 1}

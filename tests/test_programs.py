@@ -7,6 +7,7 @@ from conftest import all_words, brute_orbit_below, brute_witnesses
 from necklaces.errors import LayerMismatch
 from necklaces.programs import (
     BranchingProgram,
+    _PrefixTracker,
     accepts,
     build_alphabet_restriction,
     build_contiguous,
@@ -242,3 +243,31 @@ def test_every_input_routes_uniquely():
                 nxt = bp.arcs[j][node][sym]
                 assert nxt is not None, (x.bits, word)
                 node = nxt
+
+
+def test_prefix_tracker_states_match_definition():
+    # a witness suffix is x[i:k]0 with x[k] = 1; the state after reading u is
+    # live iff u is a prefix of one, else frozen to u's longest prefix that is
+    # one (the empty word if none).  Every x of up to 8 bits is read, the
+    # all-zero x and those whose only 1 is the last bit among them.
+    for n in range(1, 9):
+        for bits in product((0, 1), repeat=n):
+            suffixes = [bits[i:k] + (0,) for k in range(n) if bits[k] for i in range(k + 1)]
+            tracker = _PrefixTracker(bits)
+            start = ("live", ())
+            assert tracker.final_value(start) == ()
+            states = {(): start}
+            for _ in range(n):
+                states = {
+                    u + (bit,): tracker.step(state, bit)
+                    for u, state in states.items()
+                    for bit in (0, 1)
+                }
+                for u, state in states.items():
+                    r = max((u[:m] for m in range(len(u) + 1) if m == 0 or u[:m] in suffixes),
+                            key=len)
+                    if any(s[:len(u)] == u for s in suffixes):
+                        assert state == ("live", u), (bits, u, state)
+                    else:
+                        assert state == ("frozen", r), (bits, u, state)
+                    assert tracker.final_value(state) == r, (bits, u, state)

@@ -42,6 +42,11 @@ def test_rotation_errors():
         topheavy.top_heavy_rotation(w("11111"))
     with pytest.raises(NotPrime):
         topheavy.count_top_heavy(6)
+    for n in (0, 1):
+        with pytest.raises(NotPrime):
+            topheavy.count_top_heavy(n)
+    with pytest.raises(NotPrime):
+        topheavy.top_heavy_rotation(w("1"))
 
 
 def test_unique_top_heavy_rotation_exhaustive():
