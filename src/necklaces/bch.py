@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import counting, engine, indexing
 from .errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
 from .gf import fq_kernel_basis, frobenius, generator_power, pstrip
-from .words import NkString, _Frozen, complement, fundamental_period, max_rotation, min_rotation
+from .words import NkString, _Frozen, _least_rotation, complement, max_rotation
 
 MATRIX_COLUMN_LIMIT = 2**14
 
@@ -96,11 +96,12 @@ def generator_row(params, r):
         return _cumulative_rows(n, q, word.digits, ceiling.digits)
 
     rep = indexing._search(n, q, r, cum, total)
-    if min_rotation(rep)[0].digits != rep.digits:
+    start, period = _least_rotation(rep.digits)
+    if (n - start) % period:
         raise InvariantViolated("generator row search ended off a minimal rotation")
     if max_rotation(rep)[0].digits > ceiling.digits:
         raise InvariantViolated("generator row orbit leaves {0, ..., d}")
-    return OrbitSet(rep.to_int(), fundamental_period(rep)), r - cum(rep)
+    return OrbitSet(rep.to_int(), period), r - cum(rep)
 
 
 def subfield_basis(ctx, ell):
@@ -187,9 +188,10 @@ def parity_row(params, r):
     if r > total:
         raise TooBig(f"row {r} beyond {total} parity rows")
     rep = indexing.index_necklace(ctx.n, ctx.q, r)
-    if min_rotation(rep)[0].digits != rep.digits:
+    start, period = _least_rotation(rep.digits)
+    if (ctx.n - start) % period:
         raise InvariantViolated("parity row search ended off a minimal rotation")
-    return OrbitSet(rep.to_int(), fundamental_period(rep))
+    return OrbitSet(rep.to_int(), period)
 
 
 def parity_value(ctx, orbit, alpha):
@@ -205,7 +207,7 @@ def parity_entry(params, r, alpha):
 
 
 # ---------------------------------------------------------------------------
-# column addressing and brute-force row enumeration (tests, CLI)
+# column addressing (CLI matrices) and brute-force row enumeration (tests, selftest)
 
 
 def column_element(ctx, index):

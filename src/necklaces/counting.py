@@ -18,8 +18,10 @@ where each g_k is 0 or 1) and O(p) more per divisor.  One
 `engine.count_below` call fills `_count_dividing_cached` with W_d for every
 d | n, and each orbit count reads it once.  Over all k^n words the orbits
 are one divisor sum (1/n) sum_{d | n} c_d k^d, with c_d = phi(n/d) for
-necklaces (Burnside's lemma) and mu(n/d) for Lyndon words (Witt's formula).
-Bounded caches keep the divisors and weights per n, the counts per threshold.
+necklaces (Burnside's lemma) and mu(n/d) for Lyndon words (Witt's formula):
+count_necklaces and count_lyndon return it, so the engine counts only below
+thresholds that a query asks about.  Bounded caches keep the divisors and
+weights per n, the counts per threshold.
 
 The paper's read-once branching programs over the binary expansion of the
 alphabet count the same p = n quantity; they are materialized only as a
@@ -31,7 +33,6 @@ from functools import lru_cache
 
 from . import engine
 from .errors import InvariantViolated, NotADivisor
-from .words import NkString
 
 
 def divisors(n):
@@ -90,16 +91,6 @@ def orbits_in_closed_form(n, k, lyndon=False):
     return sum(phi * k**d for d, phi in zip(ds, phis)) // n
 
 
-def orbits_below_digit(n, q, d, lyndon=False):
-    """Orbits below the word (d, 0, ..., 0), for 0 <= d <= q, in closed form.
-
-    An orbit's least member starts with its smallest digit, so the orbits
-    not below (d, 0, ..., 0) are exactly those over the q - d letters
-    {d, ..., q-1}.  At d = q this is the total number of orbits.
-    """
-    return orbits_in_closed_form(n, q, lyndon) - orbits_in_closed_form(n, q - d, lyndon)
-
-
 @lru_cache(maxsize=256)
 def _count_dividing_cached(digits, q):
     """(W_p for every p | n, ascending): engine step 5 on one least prenecklace."""
@@ -143,17 +134,24 @@ def count_lyndon_below(x):
     return _orbits_below(x, (x.n,))
 
 
+def _check_shape(n, q):
+    """The word checks of `NkString`, for counts that build no word."""
+    if n < 1:
+        raise ValueError("word length must be positive")
+    if q < 2:
+        raise ValueError("alphabet size must be at least 2")
+
+
 def count_necklaces(n, q):
-    """Total number of orbits of length-n words over a size-q alphabet."""
-    top = NkString(n, q, (q - 1,) * n)
-    return count_necklaces_below(top) + 1
+    """Total number of orbits of length-n words over a size-q alphabet (Burnside)."""
+    _check_shape(n, q)
+    return orbits_in_closed_form(n, q)
 
 
 def count_lyndon(n, q):
-    """Total number of aperiodic orbits (equivalently, Lyndon words)."""
-    top = NkString(n, q, (q - 1,) * n)
-    extra = 1 if n == 1 else 0  # the all-max word is periodic unless n = 1
-    return count_lyndon_below(top) + extra
+    """Total number of aperiodic orbits, equivalently Lyndon words (Witt)."""
+    _check_shape(n, q)
+    return orbits_in_closed_form(n, q, lyndon=True)
 
 
 def count_words_below_with_ceiling(x, ceiling):

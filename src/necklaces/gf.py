@@ -748,7 +748,7 @@ def default_fq_ctx(q):
 class FqnCtx(_Ext):
     """The extension F_q[T]/F(T); elements are low-first tuples of F_q elements."""
 
-    def __init__(self, base, n, modulus, primitive=False, _verified=False):
+    def __init__(self, base, n, modulus, _verified=False):
         check_degree(n)
         modulus = pstrip(base, modulus)
         if len(modulus) != n + 1 or modulus[-1] != base.one:
@@ -758,7 +758,7 @@ class FqnCtx(_Ext):
         self.base = base
         self.n = n
         self.modulus = modulus
-        self.primitive = primitive
+        self.primitive = False  # set by certify_primitive
         self.q = base.q
         self.size = base.q**n
         self.order = self.size - 1
@@ -896,9 +896,8 @@ def find_primitive_polynomial(base, n, factors, rng_seed):
         f = tuple(base.element_from_int(rng.randrange(base.q)) for _ in range(n)) + (base.one,)
         if n > 1 and not is_irreducible(base, f):
             continue
-        ctx = FqnCtx(base, n, f, primitive=False, _verified=True)
+        ctx = FqnCtx(base, n, f, _verified=True)
         if certify_primitive(ctx, factors):
-            ctx.primitive = True
             return ctx
     raise InvariantViolated(
         f"no primitive polynomial of degree {n} over F_{base.q} in {draws} draws; field arithmetic bug")
@@ -909,11 +908,12 @@ def certify_primitive(ctx, factors):
 
     The modulus is irreducible, so the class of T fails to be a unit only
     when it is 0 (the modulus T, n = 1); any other class generates iff no
-    g^(order/r) is 1.
+    g^(order/r) is 1.  The verdict is returned and stored in ctx.primitive.
     """
     check_factorization(ctx.order, factors)
-    return bool(ctx.generator) and all(
+    ctx.primitive = bool(ctx.generator) and all(
         generator_power(ctx, ctx.order // r) != ctx.one for r in sorted(set(factors)))
+    return ctx.primitive
 
 
 # ---------------------------------------------------------------------------
@@ -1004,7 +1004,6 @@ def parse_advice(text):
         raise InvalidAdvice(f"bad factors line: {exc}") from exc
     if not ok:
         raise InvalidAdvice("the class of T does not generate the multiplicative group")
-    ctx.primitive = True
     return ctx
 
 

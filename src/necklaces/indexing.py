@@ -5,7 +5,9 @@ searches the words, read as integers in [0, q^n), for the largest one with
 fewer than j orbits strictly below it, which is exactly the j-th minimal
 representative.  One safeguarded interpolation loop, never more than two
 probes beyond bisection, runs at two scales: over the first digit on the
-closed-form orbit count, then over the words on the counted orbits.  Once
+closed-form orbit count, then over the words on the counted orbits.  The
+head, the count below (d, 0, ..., 0), is built from the closed-form total: the
+orbits not below it are those over the q - d letters {d, ..., q-1}.  Once
 at most n orbits remain in the bracket it steps through them with the FKM
 successor (Ruskey, Savage and Wang, J. Algorithms 1992): n steps cost less
 than one probe, and the search would need about log2 n.
@@ -164,15 +166,15 @@ def _search(n, q, j, below, total, head=None, weight=None):
     The contract: `below` is nondecreasing in the word, below(0^n) = 0,
     `total` is below at the virtual word q^n past the last one, and
     1 <= j <= total.  `head`, if given, is the closed form
-    d -> below((d, 0, ..., 0)) for 0 <= d <= q, and head(q) must equal
-    total.  `weight`, if given, says that below(x) is the sum of
-    weight(digits, period) over the necklaces strictly below x, each given
-    as its digit list and the period of its least rotation.
+    d -> below((d, 0, ..., 0)) for 0 <= d <= q, with head(q) = total.
+    `weight`, if given, says that below(x) is the sum of weight(digits,
+    period) over the necklaces strictly below x, each given as its digit
+    list and the period of its least rotation.
     `bch.generator_row` passes none: necklaces whose orbit leaves its
     ceiling weigh 0 there, so a walk over them would have no bound in n.
 
     `_narrow` runs over the digits [0, q] when there is a head, with budget
-    ceil(log2 q) + 2 (so at most ceil(log2 q) + 3 head evaluations), then
+    ceil(log2 q) + 2 (so at most that many head evaluations), then
     over the words, with budget n * ceil(log2 q) + 2.  The digit phase, and
     the word phase when there is no head, interpolate in the model
     s = 1 - (1 - x/X)^n (module docstring).  The word phase after a head
@@ -187,8 +189,6 @@ def _search(n, q, j, below, total, head=None, weight=None):
     bits = (q - 1).bit_length()
     lo, hi, below_lo, below_hi = 0, q**n, 0, total
     if head is not None:
-        if head(q) != total:
-            raise InvariantViolated("closed-form orbit count disagrees with the counted total")
         first, _, below_lo, below_hi = _narrow(q, j, head, 0, q, 0, total, bits + 2, power=n)
         lo, hi = first * q ** (n - 1), (first + 1) * q ** (n - 1)
     lo, hi, below_lo, below_hi = _narrow(
@@ -199,26 +199,22 @@ def _search(n, q, j, below, total, head=None, weight=None):
     return NkString.from_int(n, q, lo)
 
 
-def _head(n, q, lyndon):
-    """d -> orbits below (d, 0, ..., 0) in closed form, the total evaluated once.
-
-    All orbits lie below the virtual word (q, 0, ..., 0); those not below
-    (d, 0, ..., 0) are the orbits over the q - d letters {d, ..., q-1}
-    (`counting.orbits_below_digit`), so each evaluation runs one closed form.
-    """
-    every = counting.orbits_below_digit(n, q, q, lyndon)
-    return lambda d: every - counting.orbits_in_closed_form(n, q - d, lyndon)
+def _unrank(n, q, j, lyndon):
+    """The j-th necklace, or Lyndon word if `lyndon`, or TOO_LARGE past the count."""
+    if j < 1:
+        raise ValueError("ranks are 1-based")
+    total = (counting.count_lyndon if lyndon else counting.count_necklaces)(n, q)
+    if j > total:
+        return TOO_LARGE
+    below = counting.count_lyndon_below if lyndon else counting.count_necklaces_below
+    return _search(n, q, j, below, total,
+                   lambda d: total - counting.orbits_in_closed_form(n, q - d, lyndon),
+                   lambda a, p: not lyndon or p == n)
 
 
 def index_necklace(n, q, j):
     """The j-th orbit's minimal representative, or TOO_LARGE past the count."""
-    if j < 1:
-        raise ValueError("ranks are 1-based")
-    total = counting.count_necklaces(n, q)
-    if j > total:
-        return TOO_LARGE
-    return _search(n, q, j, counting.count_necklaces_below, total, _head(n, q, False),
-                   lambda a, p: 1)
+    return _unrank(n, q, j, False)
 
 
 def reverse_index_necklace(x):
@@ -230,13 +226,7 @@ def reverse_index_necklace(x):
 
 def index_lyndon(n, q, j):
     """The j-th Lyndon word (aperiodic minimal representative), or TOO_LARGE."""
-    if j < 1:
-        raise ValueError("ranks are 1-based")
-    total = counting.count_lyndon(n, q)
-    if j > total:
-        return TOO_LARGE
-    return _search(n, q, j, counting.count_lyndon_below, total, _head(n, q, True),
-                   lambda a, p: p == n)
+    return _unrank(n, q, j, True)
 
 
 def reverse_index_lyndon(x):

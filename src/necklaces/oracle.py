@@ -137,6 +137,8 @@ def selftest(max_n_binary=8):
     Returns (ok, lines); every line reports one named check.  Kept small
     enough to finish well under a minute.
     """
+    if max_n_binary < 1:
+        raise ValueError(f"max_n_binary must be at least 1, got {max_n_binary}")
     import random
 
     from . import bch, counting, gf, indexing, irreducible, programs, topheavy

@@ -4,13 +4,14 @@ import pytest
 
 from necklaces import bch, gf
 from necklaces.errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
-from necklaces.words import NkString
 
 
 @pytest.fixture(scope="module")
 def f8():
     base = gf.default_fq_ctx(2)
-    return gf.FqnCtx(base, 3, ((1,), (1,), (), (1,)), primitive=True)  # T^3+T+1
+    ctx = gf.FqnCtx(base, 3, ((1,), (1,), (), (1,)))  # T^3+T+1
+    assert gf.certify_primitive(ctx, gf.factorize(ctx.order))
+    return ctx
 
 
 def _vec(ctx, a):
@@ -96,7 +97,8 @@ def test_subfield_basis(f8):
     for beta in full:
         assert f8.pow(beta, f8.q**3) == beta
     base = gf.default_fq_ctx(2)
-    f4 = gf.FqnCtx(base, 2, ((1,), (1,), (1,)), primitive=True)
+    f4 = gf.FqnCtx(base, 2, ((1,), (1,), (1,)))
+    assert gf.certify_primitive(f4, gf.factorize(f4.order))
     assert bch.subfield_basis(f4, 1) == [((1,),)]
     assert bch.subfield_basis(f4, 2) == [((1,),), ((), (1,))]
     with pytest.raises(NotADivisor):
@@ -266,13 +268,13 @@ def test_column_elements(f8):
 def test_row_search_invariants_raise(f8, monkeypatch):
     """The row searches check their result with raises, which survive python -O."""
     params = bch.BchParams(f8, 4)
-    true_min_rotation = bch.min_rotation
+    true_least_rotation = bch._least_rotation
 
-    def shifted(word):
-        rep, k = true_min_rotation(word)
-        return NkString(rep.n, rep.q, rep.digits[1:] + rep.digits[:1]), k
+    def shifted(digits):  # row 2 of both searches is the aperiodic 001: start 1 is off minimal
+        start, period = true_least_rotation(digits)
+        return start + 1, period
 
-    monkeypatch.setattr(bch, "min_rotation", shifted)
+    monkeypatch.setattr(bch, "_least_rotation", shifted)
     with pytest.raises(InvariantViolated):
         bch.parity_row(params, 2)
     with pytest.raises(InvariantViolated):

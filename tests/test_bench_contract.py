@@ -72,6 +72,30 @@ def test_tracer_counts_unrank_probes(monkeypatch):
     assert tracer.calls["indexing.index_lyndon"] == 1
 
 
+def test_tracer_probes_are_the_search_probes(monkeypatch):
+    """`probes` counts exactly the calls of the `below` that `indexing._search` receives."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    search, calls = indexing._search, []
+
+    def spied(n, q, j, below, *args):
+        def counted(x):
+            calls.append(x)
+            return below(x)
+        return search(n, q, j, counted, *args)
+
+    monkeypatch.setattr(indexing, "_search", spied)
+    for unrank in ("index_necklace", "index_lyndon"):
+        calls.clear()
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            getattr(indexing, unrank)(32, 2, 12345)  # the traced binding
+        finally:
+            tracer.uninstall()
+        assert calls and tracer.probes == len(calls), (unrank, tracer.probes, len(calls))
+
+
 def test_tracer_counts_the_field_layer(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")

@@ -100,6 +100,13 @@ def test_a_failed_selftest_exits_one(capsys, monkeypatch):
            '["PASS one", "FAIL two"]}}\n', "")
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_selftest_refuses_a_max_n_below_one(capsys, max_n):
+    err = f"error: max_n_binary must be at least 1, got {max_n}\n"
+    for fmt in ("text", "json-lines"):
+        assert run(capsys, "--format", fmt, "selftest", "--max-n", max_n) == (2, "", err)
+
+
 @pytest.mark.parametrize("qspec, err", [
     ("2^", "error: invalid literal for int() with base 10: ''\n"),
     ("^2", "error: invalid literal for int() with base 10: ''\n"),

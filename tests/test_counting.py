@@ -7,7 +7,7 @@ from conftest import (
     brute_count_below,
     brute_necklaces_below,
 )
-from necklaces import counting, programs
+from necklaces import counting, engine, programs
 from necklaces.errors import InvariantViolated, NotADivisor
 from necklaces.oracle import closed_form_counts
 from necklaces.words import NkString, parse_word
@@ -75,6 +75,45 @@ def test_totals():
     neck, lyn = closed_form_counts(6, q)
     assert counting.count_necklaces(6, q) == neck
     assert counting.count_lyndon(6, q) == lyn
+
+
+_TOTAL_SIZES = ([(n, q) for n in range(1, 13) for q in (2, 3, 4, 5, 7)]
+                + [(32, 2), (80, 2), (10, 2**26), (56, 2**16), (6, 10**12 + 39)])
+
+
+@pytest.mark.parametrize("n, q", _TOTAL_SIZES)
+def test_totals_agree_with_the_engine_below_the_top_word(n, q):
+    """Burnside and Witt equal the engine's count below (q-1)^n plus that word's orbit.
+
+    The all-(q-1) word is its own orbit of size 1, aperiodic only when n = 1.
+    """
+    top = NkString(n, q, (q - 1,) * n)
+    assert counting.count_necklaces(n, q) == counting.count_necklaces_below(top) + 1
+    assert counting.count_lyndon(n, q) == counting.count_lyndon_below(top) + (n == 1)
+
+
+def test_totals_make_no_engine_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a total reached the engine")
+
+    counting.clear_caches()  # a memo hit would hide an engine call
+    monkeypatch.setattr(engine, "count_below", refuse)
+    for n, q in _TOTAL_SIZES + [(8000, 2)]:
+        totals = counting.count_necklaces(n, q), counting.count_lyndon(n, q)
+        assert totals == closed_form_counts(n, q), (n, q)
+    assert counting._count_dividing_cached.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n, q, message", [(0, 2, "word length must be positive"),
+                                           (-3, 5, "word length must be positive"),
+                                           (3, 1, "alphabet size must be at least 2"),
+                                           (0, 0, "word length must be positive")])
+def test_totals_refuse_what_a_word_refuses(n, q, message):
+    for count in (counting.count_necklaces, counting.count_lyndon):
+        with pytest.raises(ValueError, match=message):
+            count(n, q)
+    with pytest.raises(ValueError, match=message):
+        NkString(n, q, (0,) * max(n, 0))
 
 
 def test_counts_match_brute_force_exhaustively():

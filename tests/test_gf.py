@@ -21,7 +21,9 @@ def f2():
 
 @pytest.fixture(scope="module")
 def f8(f2):
-    return gf.FqnCtx(f2, 3, ((1,), (1,), (), (1,)), primitive=True)  # T^3+T+1
+    ctx = gf.FqnCtx(f2, 3, ((1,), (1,), (), (1,)))  # T^3+T+1
+    assert gf.certify_primitive(ctx, gf.factorize(ctx.order))
+    return ctx
 
 
 def test_primality_and_factorize():
@@ -225,7 +227,8 @@ def test_minimal_polynomial(f2, f8):
     with pytest.raises(ConjugatesCollide):
         gf.minimal_polynomial(f8, f8.one)
     # n = 1: T - a
-    f31 = gf.FqnCtx(gf.default_fq_ctx(3), 1, ((1,), (1,)), primitive=True)  # T+1 = T-2
+    f31 = gf.FqnCtx(gf.default_fq_ctx(3), 1, ((1,), (1,)))  # T+1 = T-2
+    assert gf.certify_primitive(f31, gf.factorize(f31.order))
     a = f31.element_from_int(2)
     assert gf.minimal_polynomial(f31, a) == ((1,), (1,))
 

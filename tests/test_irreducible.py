@@ -109,7 +109,7 @@ def test_specific_small_case():
 
 def test_requires_primitive_context():
     base = gf.default_fq_ctx(2)
-    ctx = gf.FqnCtx(base, 3, ((1,), (1,), (), (1,)), primitive=False)
+    ctx = gf.FqnCtx(base, 3, ((1,), (1,), (), (1,)))
     with pytest.raises(ValueError):
         irreducible.index_irreducible(ctx, 1)
     with pytest.raises(ValueError):
