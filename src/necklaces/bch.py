@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import counting, engine, indexing
 from .errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
-from .gf import fq_kernel_basis, frobenius, generator_power, pstrip
+from .gf import fq_kernel_basis, frobenius, generator_power
 from .words import NkString, _Frozen, _least_rotation, complement, max_rotation
 
 MATRIX_COLUMN_LIMIT = 2**14
@@ -107,30 +107,27 @@ def generator_row(params, r):
 def subfield_basis(ctx, ell):
     """Deterministic F_q-basis of the subfield fixed by the ell-th Frobenius power.
 
-    Returns exactly ell elements of F_{q^n}, the echelon kernel basis of the
-    linear map a -> a^(q^ell) - a on coefficient vectors.  Bases are cached
-    on ctx per ell; every call returns a fresh list.
+    Returns ell elements of F_{q^n}, monic in T and of distinct degrees: the
+    reduced echelon kernel basis of a -> a^(q^ell) - a, whose images
+    tau^i - T^i, tau = Frob^ell(T), are two running products.  Bases are
+    cached on ctx per ell; every call returns a fresh list.
     """
     n = ctx.n
     if ell < 1 or n % ell != 0:
         raise NotADivisor(f"{ell} does not divide the extension degree {n}")
     if ell in ctx.subfield_bases:
         return list(ctx.subfield_bases[ell])
-    base = ctx.base
-    columns = []
-    for i in range(n):
-        t_i = ctx.element_from_int(ctx.q**i)  # the basis monomial T^i
-        image = t_i
-        for _ in range(ell):
-            image = frobenius(ctx, image)
-        diff = ctx.sub(image, t_i)
-        vec = list(diff) + [base.zero] * (n - len(diff))
-        columns.append(vec)
-    rows = [[columns[c][r] for c in range(n)] for r in range(n)]
-    kernel = fq_kernel_basis(base, rows, n)
+    k, tau = ctx.kernel, ctx.generator
+    for _ in range(ell):
+        tau = frobenius(ctx, tau)
+    tau, tau_i, t_i, images = k.pack(tau), k.one, k.one, []
+    for _ in range(n):
+        images.append(k.sub(tau_i, t_i))
+        tau_i, t_i = k.mul(tau_i, tau), k.mul(t_i, k.t)
+    kernel = fq_kernel_basis(k, images)
     if len(kernel) != ell:
         raise InvariantViolated("fixed-subfield dimension mismatch; field bug")
-    basis = ctx.subfield_bases[ell] = tuple(pstrip(base, vec) for vec in kernel)
+    basis = ctx.subfield_bases[ell] = tuple(k.unpack(x) for x in kernel)
     return list(basis)
 
 

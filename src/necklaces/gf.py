@@ -59,8 +59,9 @@ unpack and from_int / to_int use the same bit offsets.  F_q is the
 kernel's n = 1 case F_q[T]/(T), its element in row 0, converted with
 pack_row / unpack_row; FqCtx and FqnCtx share one implementation (_Ext)
 that converts once per call, and inverses are a^(size-2).
-frobenius, minimal_polynomial and is_irreducible stay packed throughout;
-is_irreducible is Rabin's test with its gcd replaced by a norm (see there).
+frobenius, minimal_polynomial, is_irreducible and fq_kernel_basis stay
+packed throughout; is_irreducible is Rabin's test with its gcd replaced by
+a norm (see there).
 The generic tuple-polynomial routines (padd, psub, pmul, pdivmod, pmod,
 pmonic, pgcd) over a coefficient field object have no production caller:
 they are the tests' independent reference arithmetic.
@@ -1016,40 +1017,29 @@ def load_advice(filename):
 # linear algebra over F_q (used for subfield bases)
 
 
-def fq_kernel_basis(ctx, rows, width):
-    """Deterministic echelon basis of the kernel of a matrix over F_q.
+def fq_kernel_basis(kernel, images):
+    """Reduced echelon basis of the kernel of an F_q-linear map, all packed.
 
-    rows: list of length-`width` lists of F_q elements.  Returns kernel
-    vectors (as lists) in order of their leading free column.
+    images[i] is the packed image of T^i.  Left to right, each image is
+    reduced by the earlier pivots, and its element T^i by the same steps; a
+    pivot is normalised at its lowest nonzero row, whose F_q coefficient c
+    is inverted as c^(q-2).  An image reduced to 0 leaves a kernel element:
+    1 at T^i, 0 at every other free index, and of degree i.
     """
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(width):
-        pivot = None
-        for i in range(r, len(mat)):
-            if not ctx.is_zero(mat[i][col]):
-                pivot = i
+    pivots, basis = {}, []  # lowest nonzero row's bit offset -> (image, element)
+    rowbits, mask = kernel._rowbits, kernel._rowmask
+    for i, image in enumerate(images):
+        element = 1 << i * rowbits
+        while image:
+            at = ((image & -image).bit_length() - 1) // rowbits * rowbits
+            c = image >> at & mask
+            if at not in pivots:
+                inv = kernel.pow(c, kernel.q - 2)
+                pivots[at] = kernel.mul(image, inv), kernel.mul(element, inv)
                 break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = ctx.inv(mat[r][col])
-        mat[r] = [ctx.mul(v, inv) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not ctx.is_zero(mat[i][col]):
-                factor = mat[i][col]
-                mat[i] = [
-                    ctx.sub(a, ctx.mul(factor, b)) for a, b in zip(mat[i], mat[r])
-                ]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ctx.zero] * width
-        vec[fc] = ctx.one
-        for ri, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(mat[ri][fc])
-        basis.append(vec)
+            pivot, preimage = pivots[at]
+            image = kernel.sub(image, kernel.mul(c, pivot))
+            element = kernel.sub(element, kernel.mul(c, preimage))
+        else:
+            basis.append(element)
     return basis

@@ -135,10 +135,12 @@ def selftest(max_n_binary=8):
     """Reduced oracle-equivalence sweep across the whole pipeline.
 
     Returns (ok, lines); every line reports one named check.  Kept small
-    enough to finish well under a minute.
+    enough to finish well under a minute; a max_n_binary whose binary words
+    exceed ENUM_GUARD is refused with TooBig before the first check.
     """
     if max_n_binary < 1:
         raise ValueError(f"max_n_binary must be at least 1, got {max_n_binary}")
+    _check_size(max_n_binary, 2)
     import random
 
     from . import bch, counting, gf, indexing, irreducible, programs, topheavy

@@ -103,3 +103,30 @@ class RefQuotient:
             x = self.product(x, x)
             k >>= 1
         return result
+
+
+def assert_reduced_echelon(basis, one):
+    """Each element monic in T, degrees strictly increasing, 0 at the others' degrees.
+
+    Elements are low-first tuples of F_q elements (one is F_q's 1).  Within
+    a given span these conditions leave exactly one basis.
+    """
+    degrees = [len(b) - 1 for b in basis]
+    assert degrees == sorted(set(degrees)), degrees
+    for b in basis:
+        assert b[-1] == one
+        assert all(b[d] == () for d in degrees if d < len(b) - 1)
+
+
+def packed_span(kernel, basis):
+    """Every F_q-combination of the packed elements of basis, by enumeration."""
+    span = {0}
+    for b in basis:
+        multiples = [kernel.mul(kernel.from_int(c), b) for c in range(kernel.q)]
+        span = {kernel.add(s, m) for s in span for m in multiples}
+    return span
+
+
+def primitive_field(q, n):
+    """F_{q^n} over the default F_q, from the primitive polynomial that rng_seed 1 finds."""
+    return gf.find_primitive_polynomial(gf.default_fq_ctx(q), n, gf.factorize(q**n - 1), 1)

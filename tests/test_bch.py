@@ -2,7 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from necklaces import bch, gf
+from conftest import assert_reduced_echelon, packed_span, primitive_field
+from necklaces import bch, counting, gf
 from necklaces.errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
 
 
@@ -113,6 +114,36 @@ def test_subfield_basis_fixed_by_frobenius_power():
         assert len(basis) == ell
         for beta in basis:
             assert fctx.pow(beta, fctx.q**ell) == beta
+
+
+@pytest.mark.parametrize("q, n", [(2, 20), (3, 20), (2, 32), (2**16, 3), (4, 6), (9, 8), (2, 6)])
+def test_subfield_basis_is_the_reduced_basis_of_the_fixed_subfield(q, n):
+    """ell elements fixed by Frob^ell, monic, of increasing degrees, 0 at each other's degrees.
+
+    Those conditions pin the basis without reference to any elimination; up
+    to q^n = 2^12 the span is also compared with the enumerated subfield.
+    """
+    fctx = primitive_field(q, n)
+    k = fctx.kernel
+    for ell in counting.divisors(n):
+        basis = bch.subfield_basis(fctx, ell)
+        assert len(basis) == ell
+        for beta in basis:
+            assert fctx.pow(beta, q**ell) == beta
+        assert_reduced_echelon(basis, fctx.base.one)
+        if q**n <= 2**12:
+            fixed = {x for x in map(k.from_int, range(q**n)) if k.pow(x, q**ell) == x}
+            assert packed_span(k, [k.pack(beta) for beta in basis]) == fixed
+
+
+def test_subfield_basis_checks_its_dimension(monkeypatch):
+    """With Frobenius the identity every image is 0, and each proper subfield is refused."""
+    monkeypatch.setattr(bch, "frobenius", lambda ctx, a: a)
+    fctx = primitive_field(2, 6)
+    for ell in (1, 2, 3):
+        with pytest.raises(InvariantViolated):
+            bch.subfield_basis(fctx, ell)
+    assert fctx.subfield_bases == {}
 
 
 def test_generator_entries_lie_in_base_field(f8):

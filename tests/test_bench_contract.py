@@ -111,8 +111,9 @@ def test_tracer_counts_the_field_layer(monkeypatch):
         bch.parity_entry(params, 3, fctx.element_from_int(9))
     finally:
         tracer.uninstall()
-    for name in ("gf.minimal_polynomial", "bch.subfield_basis", "gf.fqn_pow",
-                 "engine.count_below_with_ceiling", "engine.count_below"):
+    for name in ("gf.minimal_polynomial", "bch.subfield_basis", "gf.fq_kernel_basis",
+                 "gf.frobenius", "gf.fqn_pow", "engine.count_below_with_ceiling",
+                 "engine.count_below"):
         assert tracer.calls[name] >= 1, name
     assert gf.FqnCtx.__dict__["mul"] is original_mul
     assert bch.frobenius is original_frobenius

@@ -107,6 +107,13 @@ def test_selftest_refuses_a_max_n_below_one(capsys, max_n):
         assert run(capsys, "--format", fmt, "selftest", "--max-n", max_n) == (2, "", err)
 
 
+def test_selftest_refuses_binary_words_past_the_enumeration_guardrail(capsys):
+    err = "error: 2^23 words exceed the enumeration guardrail\n"
+    assert oracle.ENUM_GUARD == 2**22
+    for fmt in ("text", "json-lines"):
+        assert run(capsys, "--format", fmt, "selftest", "--max-n", "23") == (4, "", err)
+
+
 @pytest.mark.parametrize("qspec, err", [
     ("2^", "error: invalid literal for int() with base 10: ''\n"),
     ("^2", "error: invalid literal for int() with base 10: ''\n"),

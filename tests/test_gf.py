@@ -4,6 +4,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
+from conftest import assert_reduced_echelon, packed_span, primitive_field
 from necklaces import bch, gf, irreducible, oracle
 from necklaces.errors import (
     BadFactorization,
@@ -384,18 +385,39 @@ def test_advice_rejects_bad_input(f2):
 
 
 def test_kernel_basis():
-    f3 = gf.default_fq_ctx(3)
-    rows = [
-        [f3.one, f3.element_from_int(2), f3.zero],
-        [f3.zero, f3.zero, f3.zero],
-    ]
-    basis = gf.fq_kernel_basis(f3, rows, 3)
-    assert len(basis) == 2
-    for vec in basis:
-        s = f3.zero
-        for coeff, v in zip(rows[0], vec):
-            s = f3.add(s, f3.mul(coeff, v))
-        assert s == f3.zero
+    """The zero map's kernel is all of F_{q^n}, and a -> Frob(a) - a fixes F_q alone."""
+    for q, n in ((2, 5), (5, 1), (9, 3), (2**16, 2)):
+        k = primitive_field(q, n).kernel
+        powers = [k.from_int(q**i) for i in range(n)]  # T^0, ..., T^(n-1)
+        assert gf.fq_kernel_basis(k, [0] * n) == powers
+        assert gf.fq_kernel_basis(k, [k.sub(k.frobenius(t), t) for t in powers]) == [k.one]
+
+
+@pytest.mark.parametrize("q, n", [(2, 5), (2, 10), (3, 4), (4, 3), (5, 2), (9, 3), (32, 2)])
+def test_kernel_basis_of_random_maps(q, n):
+    """Random images of every rank: the basis spans the enumerated kernel, in reduced form."""
+    fctx = primitive_field(q, n)
+    k, rng = fctx.kernel, random.Random(q * 100 + n)
+    scalars = [k.from_int(c) for c in range(q)]
+    for rank in list(range(n + 1)) * 2:
+        spanning = [k.from_int(rng.randrange(q**n)) for _ in range(rank)]
+        images = []
+        for _ in range(n):
+            image = 0
+            for v in spanning:
+                image = k.add(image, k.mul(rng.choice(scalars), v))
+            images.append(image)
+        kernel = set()
+        for v in range(q**n):
+            image = 0
+            for i in range(n):
+                image = k.add(image, k.mul(scalars[v // q**i % q], images[i]))
+            if not image:
+                kernel.add(k.from_int(v))
+        basis = gf.fq_kernel_basis(k, images)
+        span = packed_span(k, basis)
+        assert span == kernel and len(span) == q ** len(basis)
+        assert_reduced_echelon([k.unpack(b) for b in basis], fctx.base.one)
 
 
 # The packed conversions as they were written on a bytearray, slot (i, k) at
