@@ -137,7 +137,10 @@ def generator_value(ctx, row, alpha):
     With orbit minimum m and basis element beta of the row, the entry is
     sum_k beta^(q^k) alpha^(m q^k) = sum_k Frob^k(gamma), gamma = beta alpha^m,
     over k < |orbit|; alpha^0 = 1 even for alpha = 0.  The sum runs on the
-    packed kernel, with one pack of beta and alpha and one unpack.
+    packed kernel, with one pack of beta and alpha and one unpack.  alpha^m
+    is the kernel's pow: Straus's simultaneous powering over the base-q
+    digits of m where the field's (q, n) favours it (`gf` module docstring),
+    which took a gen (2^16, 3) entry's alpha^m from 0.77 to 0.28-0.34 ms.
     """
     orbit, j = row
     k = ctx.kernel
@@ -192,7 +195,7 @@ def parity_row(params, r):
 
 
 def parity_value(ctx, orbit, alpha):
-    """Entry of the parity row `orbit` at the nonzero column alpha: alpha^m."""
+    """Entry of the parity row `orbit` at the nonzero column alpha: alpha^m, by the kernel's pow."""
     return ctx.pow(alpha, orbit.m)
 
 

@@ -10,6 +10,12 @@ from .words import NkString, min_rotation
 
 ENUM_GUARD = 2**22
 
+# selftest's time grows about 2.3x per step of max_n_binary: 1.8 s at 12,
+# 5.6 s at 14 and 29 s at 16 on a 2-vCPU host, so 17 would take about 67 s.
+# The largest max_n_binary that stays inside a one-minute budget is 16.
+_SELFTEST_BUDGET_S = 60
+_SELFTEST_MAX_N = 16
+
 
 def _check_size(n, q):
     if q**n > ENUM_GUARD:
@@ -134,13 +140,16 @@ def brute_irreducibles(q, n):
 def selftest(max_n_binary=8):
     """Reduced oracle-equivalence sweep across the whole pipeline.
 
-    Returns (ok, lines); every line reports one named check.  Kept small
-    enough to finish well under a minute; a max_n_binary whose binary words
-    exceed ENUM_GUARD is refused with TooBig before the first check.
+    Returns (ok, lines); every line reports one named check.  Kept inside
+    _SELFTEST_BUDGET_S: a max_n_binary whose binary words exceed ENUM_GUARD,
+    or above _SELFTEST_MAX_N, is refused with TooBig before the first check.
     """
     if max_n_binary < 1:
         raise ValueError(f"max_n_binary must be at least 1, got {max_n_binary}")
     _check_size(max_n_binary, 2)
+    if max_n_binary > _SELFTEST_MAX_N:
+        raise TooBig(f"max_n_binary {max_n_binary} would run past the selftest's "
+                     f"{_SELFTEST_BUDGET_S} s budget; at most {_SELFTEST_MAX_N}")
     import random
 
     from . import bch, counting, gf, indexing, irreducible, programs, topheavy
@@ -201,9 +210,10 @@ def selftest(max_n_binary=8):
                 good &= programs.count_rotation_below(x) == expect
     check("branching programs equal engine and brute force", good)
 
-    # irreducible polynomial indexing
+    # irreducible polynomial indexing: minimal polynomials by Berlekamp-Massey
+    # when q is prime, by the conjugate product at (4, 2) and (9, 2)
     good = True
-    for q, n in ((2, 2), (2, 3), (2, 4), (3, 2), (5, 2)):
+    for q, n in ((2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (4, 2), (9, 2)):
         expect = brute_irreducibles(q, n)
         good &= irreducible.count_irreducible(q, n) == len(expect)
         ctx = gf.default_fq_ctx(q)
@@ -228,6 +238,22 @@ def selftest(max_n_binary=8):
                 val = bch.generator_entry(params, r, bch.column_element(fctx, col))
                 good &= len(val) <= 1
     check("bch rows and generator entries", good)
+
+    # parity entries at (16, 2), where pow takes Straus's simultaneous
+    # powering, against alpha^m by repeated multiplication
+    good = True
+    fctx = gf.find_primitive_polynomial(gf.default_fq_ctx(16), 2, gf.factorize(255), rng_seed=5)
+    params = bch.BchParams(fctx, 254)
+    orbits = bch.brute_parity_orbits(params)
+    good &= bch.parity_row_count(params) == len(orbits)
+    for col in (0, 1, 17, 100, 254):
+        alpha = bch.nonzero_column_element(fctx, col)
+        powers = [fctx.one]
+        for _ in range(254):
+            powers.append(fctx.mul(powers[-1], alpha))
+        for r, orbit in enumerate(orbits, start=1):
+            good &= bch.parity_entry(params, r, alpha) == powers[orbit.m]
+    check("bch parity entries vs repeated multiplication", good)
 
     # top-heavy rotation oracle
     good = True

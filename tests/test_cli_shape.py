@@ -114,6 +114,12 @@ def test_selftest_refuses_binary_words_past_the_enumeration_guardrail(capsys):
         assert run(capsys, "--format", fmt, "selftest", "--max-n", "23") == (4, "", err)
 
 
+def test_selftest_refuses_a_max_n_past_its_time_budget(capsys):
+    err = "error: max_n_binary 17 would run past the selftest's 60 s budget; at most 16\n"
+    for fmt in ("text", "json-lines"):
+        assert run(capsys, "--format", fmt, "selftest", "--max-n", "17") == (4, "", err)
+
+
 @pytest.mark.parametrize("qspec, err", [
     ("2^", "error: invalid literal for int() with base 10: ''\n"),
     ("^2", "error: invalid literal for int() with base 10: ''\n"),

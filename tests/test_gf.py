@@ -8,11 +8,12 @@ from conftest import assert_reduced_echelon, packed_span, primitive_field
 from necklaces import bch, gf, irreducible, oracle
 from necklaces.errors import (
     BadFactorization,
+    CoefficientNotInBase,
     ConjugatesCollide,
     InvalidAdvice,
     InvariantViolated,
 )
-from test_gf_packed import FIELDS
+from test_gf_packed import FIELDS, _RefExt, _ref_minimal_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +253,142 @@ def test_minimal_polynomial_is_irreducible_with_root(f8):
                 acc = f8.add(f8.mul(acc, conj), (coeff,) if coeff != () else ())
             assert f8.is_zero(acc)
             conj = gf.frobenius(f8, conj)
+
+
+@pytest.mark.parametrize("p, top", [(2, 4), (3, 3), (5, 2)])
+def test_minimal_polynomial_matches_the_conjugate_product_in_every_small_ring(p, top):
+    """Every monic F of degree <= top over F_p, reducible ones included, and every element.
+
+    The recurrence path returns the conjugate product's polynomial or raises
+    the exception type that the product raises.
+    """
+    base = gf.default_fq_ctx(p)
+    outcomes = set()
+    for m in range(1, top + 1):
+        for v in range(p**m):
+            modulus = tuple(base.element_from_int(v // p**i % p) for i in range(m)) + (base.one,)
+            ctx, ref = gf.FqnCtx(base, m, modulus, _verified=True), _RefExt(base, modulus)
+            for w in range(p**m):
+                a = ctx.element_from_int(w)
+                try:
+                    expected = _ref_minimal_polynomial(ref, a, m)
+                except (ConjugatesCollide, CoefficientNotInBase) as exc:
+                    with pytest.raises(type(exc)):
+                        gf.minimal_polynomial(ctx, a)
+                    outcomes.add(type(exc))
+                else:
+                    assert gf.minimal_polynomial(ctx, a) == expected, (modulus, a)
+                    outcomes.add(None)
+    assert outcomes == {None, ConjugatesCollide, CoefficientNotInBase}
+
+
+def test_minimal_polynomial_never_returns_a_lower_degree_in_a_ring():
+    """F = (T^3+T+1)(T^4+T+1)T^5 over F_2 and a = T^32.
+
+    Modulo the first two factors a is a conjugate of T, of degree 3 and 4,
+    and modulo T^5 it is 0, so its 12 conjugates are distinct and
+    Frob^12(a) = a, but its annihilator has degree 8.  The conjugate product
+    leaves F_2 there; the recurrence has length 8 and is refused.
+    """
+    f2 = gf.default_fq_ctx(2)
+    modulus = tuple((c,) if c else () for c in (0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1))
+    ctx = gf.FqnCtx(f2, 12, modulus, _verified=True)
+    a = ctx.pow(ctx.generator, 32)
+    with pytest.raises(CoefficientNotInBase):
+        _ref_minimal_polynomial(_RefExt(f2, modulus), a, 12)
+    with pytest.raises(InvariantViolated):
+        gf.minimal_polynomial(ctx, a)
+
+
+@pytest.mark.parametrize("q, n", [(2, 20), (3, 7), (5, 4)])
+def test_a_corrupted_trace_vector_fails_the_recurrence_checks(q, n):
+    """One trace off by one: never a wrong polynomial, and InvariantViolated at low j.
+
+    Tr(T^j) for j >= n reaches the sequence only through a^n's coordinates
+    j-n+1.., so a corrupted top entry can go unread; every other entry is
+    read by every element here.
+    """
+    good = primitive_field(q, n)
+    rng = random.Random(n)
+    elements = [gf.generator_power(good, rng.randrange(1, good.order)) for _ in range(5)]
+    expected = [gf.minimal_polynomial(good, a) for a in elements]
+    width, top = good.kernel._rowbits, 2 * n - 2
+    for j in range(2 * n - 1):  # Tr(T^j) sits in slot 2n-2-j
+        ctx = gf.FqnCtx(good.base, n, good.modulus)
+        assert gf.minimal_polynomial(ctx, elements[0]) == expected[0]
+        slot = ctx._traces >> (top - j) * width & ctx.kernel._wmask
+        ctx._traces += ((slot + 1) % q - slot) << (top - j) * width
+        for a, polynomial in zip(elements, expected):
+            try:
+                assert gf.minimal_polynomial(ctx, a) == polynomial
+            except InvariantViolated:
+                continue
+            assert j >= n + 1, (j, a)
+
+
+@pytest.mark.parametrize("q, n, ell", [(2, 20, 10), (2, 20, 4), (3, 6, 3), (2**16, 3, 1), (4, 6, 2)])
+def test_a_subfield_element_still_collides(q, n, ell):
+    ctx = primitive_field(q, n)
+    step = ctx.order // (q**ell - 1)  # g^step generates F_(q^ell)
+    for k in (1, 2, q**ell - 2):
+        with pytest.raises(ConjugatesCollide):
+            gf.minimal_polynomial(ctx, gf.generator_power(ctx, k * step))
+
+
+STRAUS_FIELDS = [(2**16, 3), (2**16, 2), (257, 3), (16, 2)]
+
+
+@pytest.fixture(scope="module")
+def straus_fields():
+    return [primitive_field(q, n) for q, n in STRAUS_FIELDS]
+
+
+def test_the_kernel_rule_picks_straus_where_it_pays(straus_fields):
+    assert all(ctx.kernel._straus for ctx in straus_fields)
+    for q, n in ((2, 2), (2, 20), (4, 6), (16, 4), (3, 7), (7, 3)):
+        assert not primitive_field(q, n).kernel._straus, (q, n)
+    assert not gf.default_fq_ctx(2**16).kernel._straus  # n = 1: one digit
+
+
+@hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@hypothesis.given(st.sampled_from(range(len(STRAUS_FIELDS))), st.data())
+def test_straus_powering_equals_binary_powering(straus_fields, which, data):
+    ctx = straus_fields[which]
+    k, size = ctx.kernel, ctx.size
+    x = data.draw(st.sampled_from([0, k.one, k.t]) | st.integers(0, size - 1).map(k.from_int))
+    drawn = data.draw(st.integers(1, size**2))
+    for e in (1, ctx.q - 1, ctx.q, size - 2, size - 1, size, size + 1, drawn):
+        assert k._straus_pow(x, e) == k._binary_pow(x, e) == k.pow(x, e), (ctx, x, e)
+
+
+def test_the_first_straus_power_on_a_fresh_kernel_does_not_recurse(monkeypatch):
+    field = primitive_field(2**16, 3)
+    kernel = gf._Packed(field.base.p, field.base.g, field.modulus)
+    assert kernel._straus and kernel._frob is None
+    depth, deepest = [0], [0]
+    pow_ = gf._Packed.pow
+
+    def counted(self, x, e):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return pow_(self, x, e)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(gf._Packed, "pow", counted)
+    x = kernel.from_int(123456789)
+    assert kernel.pow(x, 2**16 + 5) == kernel._binary_pow(x, 2**16 + 5)
+    assert deepest == [1] and kernel._frob is not None
+
+
+def test_fq_element_from_int_refuses_values_outside_the_field():
+    for q in (2, 9, 2**16):
+        ctx = gf.default_fq_ctx(q)
+        assert ctx.element_from_int(0) == () and ctx.element_from_int(q - 1)
+        for v in (-1, q):
+            with pytest.raises(ValueError):
+                ctx.element_from_int(v)
 
 
 def test_find_primitive_polynomial(f2):
