@@ -72,18 +72,25 @@ rotation above c; take away the V words with every rotation inside [x, c].
      moves: an edge of length r + 1 with multiplicity 1, 1 or
      u[k] - a[i] - 1.  A node with no event within n steps has no edge.
  10. Cut a walk with an event after each event: it becomes a closed walk
-     of edges.  Order the nodes by |v|, nearest (0, 0) first, and let v be
-     the first of them that the walk visits (an edge starts there).  Its
-     visits to v split it into first returns to v through later nodes, and
-     its start is one of the L states of the first return that ends at its
-     first visit to v after time 0.  With R(L) the first returns of length
-     L, each weighted by the product of its multiplicities, and C(m) the
-     closed walks from v through later nodes (C(0) = 1,
-     C(m) = sum_L R(L) C(m - L)), these walks number
-     sum_v sum_L L R(L) C(n - L).  One DP over lengths per v finds R.  It
-     visits only the later nodes with a way back to v through later nodes.
-     Resets land near (0, 0), so in this order the later nodes soon hold no
-     cycle, and most v are passed over.
+     of edges, and it starts at one of its n states.  With A(x) the
+     adjacency of the event graph, entry (v, w) the multiplicity of the
+     edge v -> w times x^(its length), these walks number [x^n](-x Q'/Q)
+     for Q = det(I - A(x)): the transfer-matrix method (Stanley,
+     Enumerative Combinatorics I, 4.7).  Elimination takes the determinant
+     one pivot at a time, nodes farthest from (0, 0) first.  The pivot of
+     a node v with self-loop series s is 1 - s.  Eliminating v routes
+     every edge y -> v of weight w and v -> z of weight f into an edge
+     y -> z of weight w c f, where c = 1/(1 - s), the returns to v, is
+     (1 + s)(1 + s^2)(1 + s^4)...  Since -x (1 - s)'/(1 - s) = x s' c, v
+     adds [x^n](x s' c).  Any order gives the same determinant.  Resets land
+     near (0, 0), so the far nodes seldom close a cycle, and few fill edges
+     appear.  Every series has non-negative coefficients and is kept to
+     degree n as one integer, x^t in the slot of W bits at t*W, so a
+     product is one multiply and one mask.  The moves are deterministic,
+     so slot t of a walk series counts distinct strings of t symbols, at
+     most q^t, and slot t of x s' or of x s' c at most t q^t: W =
+     bits((n + 1) q^n) + 1 holds them.  Slots above n may overflow, but a
+     carry moves only upward, into slots that are masked away.
  11. A walk without an event is forced throughout, so each side stays on its
      cycle (step 4): pa | n, pu | n, and the cycles read the same periodic
      word.  a[:pa] is a Lyndon word and u[:pu] the complement of one, both
@@ -142,9 +149,11 @@ def _count_inside(digits, b, pu, q):
     n = len(a)
     u = [q - 1 - d for d in b]
     wrap_a, wrap_u = n - pa, n - pu
-    # Node (i, 0) is i and node (0, k) is -k.  length[v]: the length of every
-    # edge out of v; moves[v]: target -> multiplicity; into[x]: sources of x.
-    length, moves, into = {}, {}, {}
+    W = ((n + 1) * q**n).bit_length() + 1  # step 10: x^t is 1 << t*W
+    keep, slot = (1 << (n + 1) * W) - 1, (1 << W) - 1
+    # Node (i, 0) is i and node (0, k) is -k.  edges[y][z]: the series of the
+    # walks y -> z through the nodes eliminated so far; into[z]: their sources.
+    edges = {}
     for v in range(1 - n, n):
         i, k = (v, 0) if v >= 0 else (0, -v)
         for span in range(1, n + 1):  # span: the forced steps, plus the event
@@ -157,49 +166,48 @@ def _count_inside(digits, b, pu, q):
             continue
         if lo > hi:
             continue
-        out = {i + 1 if i + 1 < n else wrap_a: 1}
+        step = 1 << span * W
+        out = {i + 1 if i + 1 < n else wrap_a: step}
         x = -(k + 1) if k + 1 < n else -wrap_u
-        out[x] = out.get(x, 0) + 1
+        out[x] = out.get(x, 0) + step
         if hi - lo > 1:
-            out[0] = out.get(0, 0) + hi - lo - 1
-        length[v], moves[v] = span, out
+            out[0] = out.get(0, 0) + (hi - lo - 1) * step
+        edges[v] = out
+    into = {v: set() for v in edges}
+    for v, out in edges.items():
+        for x in [x for x in out if x not in into]:  # no edge leaves x
+            del out[x]
         for x in out:
-            into.setdefault(x, []).append(v)
+            into[x].add(v)
 
     free = pa == pu and n % pa == 0 and any(u[s:pa] + u[:s] == a[:pa] for s in range(pa))
     total = pa if free else 0
-    later = set(length)
-    for v in sorted(length, key=abs):  # nodes nearest (0, 0) first
-        later.discard(v)
-        back = {v}  # v and the later nodes with a way back to v through later nodes
-        stack = [v]
-        while stack:
-            for y in into.get(stack.pop(), ()):
-                if y in later and y not in back:
-                    back.add(y)
-                    stack.append(y)
-        if len(back) == 1 and v not in moves[v]:
-            continue
-        first = {}  # length -> weighted first returns to v
-        layers = [{} for _ in range(n)]  # walk length -> node -> weighted walks from v
-        layers[0][v] = 1
-        for t in range(n):
-            if not layers[t]:
-                continue
-            for w, c in layers[t].items():
-                s = t + length[w]
-                for x, m in moves[w].items():
-                    if x == v:
-                        if s <= n:
-                            first[s] = first.get(s, 0) + c * m
-                    elif s < n and x in back:
-                        layer = layers[s]
-                        layer[x] = layer.get(x, 0) + c * m
-        if first:
-            closed = [1]  # closed walks from v through later nodes, by length
-            for t in range(1, n):
-                closed.append(sum(r * closed[t - L] for L, r in first.items() if L <= t))
-            total += sum(L * r * closed[n - L] for L, r in first.items())
+    for v in sorted(edges, key=abs, reverse=True):  # farthest from (0, 0) first
+        out, sources = edges.pop(v), into.pop(v)
+        s = out.pop(v, 0)
+        sources.discard(v)
+        c = 1
+        if s:
+            c, power = 1 + s, s * s & keep  # c = (1 + s)(1 + s^2)(1 + s^4)...
+            while power:
+                c = c * (1 + power) & keep
+                power = power * power & keep
+            ds = 0  # x s': the sum over t >= 1 of s with its slots below t cleared
+            for t in range(W, s.bit_length(), W):
+                ds += s >> t << t
+            total += ds * c >> n * W & slot
+        for x in out:
+            into[x].discard(v)
+        for y in sources:
+            row = edges[y]
+            w = row.pop(v)
+            if c != 1:
+                w = w * c & keep
+            for x, f in out.items():
+                fill = w * f & keep
+                if fill:
+                    row[x] = row.get(x, 0) + fill
+                    into[x].add(y)
     return total
 
 

@@ -461,7 +461,9 @@ class _Packed:
     Every mask is a pattern of one row or slot times a _repunit, and mu_g
     and mu_F come from _divide.  A step of the division by F reads row i of
     the remainder into mu_F and subtracts that row times F, shifted i - n
-    rows, from all 2n-1 rows at once.
+    rows, from all 2n-1 rows at once.  A monic divisor of degree 2 has
+    quotient 1, so at e = 2 (n = 2) mul skips the multiply by mu_g (mu_F)
+    and its mod p: the quotient is the top slot (row) as it stands.
     """
 
     one = 1
@@ -571,7 +573,9 @@ class _Packed:
         if self.e == 1:
             return z
         quo = self._uquo
-        q = self._mod_p((((z >> self._uh_shift) & quo) * self._mu_g >> self._uq_shift) & quo)
+        q = (z >> self._uh_shift) & quo
+        if self.e > 2:  # mu_g = 1 at e = 2 (class docstring)
+            q = self._mod_p((q * self._mu_g >> self._uq_shift) & quo)
         return self._mod_p((z + q * self._neg_g) & self._urem)
 
     def from_int(self, v):
@@ -604,7 +608,7 @@ class _Packed:
         if self.n == 1:
             return self._ureduce(z)
         h = self._ureduce(z >> self._th_shift)
-        q = self._ureduce(self._mod_p(h * self._mu_F >> self._tq_shift))
+        q = h if self.n == 2 else self._ureduce(self._mod_p(h * self._mu_F >> self._tq_shift))
         return self._ureduce(self._mod_p((z + q * self._neg_F) & self._trem))
 
     def pow(self, x, k):

@@ -210,6 +210,17 @@ def selftest(max_n_binary=8):
                 good &= programs.count_rotation_below(x) == expect
     check("branching programs equal engine and brute force", good)
 
+    # the two-sided count on the paper's programs at (6, 4), ceilings led by
+    # q - 1 as a generator-row search's are
+    good = True
+    pairs = random.Random(64)
+    for _ in range(6):
+        x = NkString.from_int(6, 4, pairs.randrange(4**6))
+        cap = NkString.from_int(6, 4, 3 * 4**5 + pairs.randrange(4**5))
+        want = counting.count_words_below_with_ceiling(x, cap)
+        good &= programs.count_rotation_within(x, cap) == want
+    check("two-sided branching programs equal engine at (6, 4)", good)
+
     # irreducible polynomial indexing: minimal polynomials by Berlekamp-Massey
     # when q is prime, by the conjugate product at (4, 2) and (9, 2)
     good = True

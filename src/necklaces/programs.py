@@ -27,15 +27,15 @@ Witness occurrences are restricted to starts at multiples of a block width
 t, which is what rotation by whole encoded symbols requires (t = 1 for a
 plain binary threshold); every node carries its coordinate mod t.
 
-`count_rotation_below` is the one entry point from q-ary thresholds: the
-package counts with `engine`, and these programs are kept as its
-materialized cross-check.
+`count_rotation_below` and `count_rotation_within` are the entry points
+from q-ary thresholds: the package counts with `engine`, and these programs
+are kept as its materialized cross-check.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import LayerMismatch
-from .words import bin_encode, bits_for, borders
+from .words import bin_encode, bits_for, borders, complement
 
 @dataclass
 class BranchingProgram:
@@ -343,3 +343,27 @@ def count_rotation_below(x):
     t = bits_for(x.q)
     return count_accepted(build_intersection(
         build_rotation_witness(bin_encode(x), t), build_alphabet_restriction(x.n, t, x.q)))
+
+
+def _swap_arcs(bp):
+    """The program run on complemented bits: every node's 0 and 1 arcs swapped."""
+    return BranchingProgram(bp.num_layers, bp.alphabet_size, bp.layers,
+                            [[row[::-1] for row in rows] for rows in bp.arcs], bp.accepting)
+
+
+def count_rotation_within(x, ceiling):
+    """#{y : some rotation of y below x, none above ceiling}, on the paper's programs.
+
+    For q = 2^t only: there the complement q - 1 - s of a symbol is the
+    bitwise complement of its t-bit block, so y has a rotation above the
+    ceiling iff y's complemented encoding has one below the complemented
+    ceiling, which the witness program with swapped arcs reads off y itself.
+    Every t-bit block is a symbol, so no alphabet restriction is needed.
+    `engine.count_below_with_ceiling` counts the same arithmetically.
+    """
+    t = bits_for(x.q)
+    if x.q != 1 << t or ceiling.q != x.q:
+        raise ValueError(f"needs one alphabet size, a power of two; got {x.q} and {ceiling.q}")
+    below = build_rotation_witness(bin_encode(x), t)
+    above = _swap_arcs(build_rotation_witness(bin_encode(complement(ceiling)), t))
+    return count_accepted(_combine(below, above, lambda a, b: a and not b))

@@ -1,7 +1,8 @@
 """Property tests over random sizes.
 
 Unranking then ranking is the identity, the engine's one- and two-sided
-counts equal brute force over every word at sizes with q^n <= 4096, and
+counts equal brute force over every word at sizes with q^n <= 4096, the
+two-sided count equals the paper's programs at sizes past brute force, and
 the packed field kernel's product equals gf.pmul / gf.pmod over random
 moduli, reducible or not.
 
@@ -11,7 +12,7 @@ Examples are derandomized, so the suite gives the same result on every run.
 import pytest
 
 from conftest import RefQuotient, all_words, brute_count_below
-from necklaces import counting, engine, gf, indexing
+from necklaces import counting, engine, gf, indexing, programs
 from necklaces.words import NkString, fundamental_period, max_rotation, min_rotation
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -62,6 +63,21 @@ def test_ceiling_count_matches_brute_force(size, data):
     want = sum(1 for y in all_words(n, q)
                if min_rotation(y)[0].digits < x.digits and max_rotation(y)[0].digits <= cap.digits)
     assert engine.count_below_with_ceiling(x.digits, cap.digits, q) == want
+
+
+@pytest.mark.parametrize("n, q, examples", [(n, 2, 4) for n in range(1, 17)] + [(6, 4, 10), (4, 16, 10)])
+def test_ceiling_count_matches_programs(n, q, examples):
+    """Half the ceilings start with q - 1, as a generator-row search's do."""
+    @hypothesis.settings(max_examples=examples, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.booleans(), st.data())
+    def check(wide, data):
+        x, cap = _word(data, n, q, "x"), _word(data, n, q, "ceiling")
+        if wide:
+            cap = NkString(n, q, (q - 1,) + cap.digits[1:])
+        want = programs.count_rotation_within(x, cap)
+        assert engine.count_below_with_ceiling(x.digits, cap.digits, q) == want
+
+    check()
 
 
 @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
