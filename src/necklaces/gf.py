@@ -37,16 +37,24 @@ reduction (Barrett, CRYPTO '86) with quotients by precomputed inverses
      reduced in u.  Both quotients are exact, so no correction follows.
      Only divisions by the monic g and F occur, which is why neither needs
      to be irreducible (is_irreducible relies on that).
-  5. Slot bound.  Before it is taken mod p a slot is at most V = n*e*p^2:
-     step 1 sums at most n*e products of coordinates below p, step 2 at
-     most e-1 such products and one coordinate, steps 3 and 4 at most
-     (n-1)*e and one coordinate, a Frobenius image sum n*e, add, sub and
-     neg at most 2p-1.  With 2^s > V*p and m = ceil(2^s/p),
-     floor(v/p) = floor(v*m / 2^s) for every v <= V, so the multiply-shift
-     is exact; W, rounded up to whole bytes for the Frobenius map's
-     to_bytes reads, holds V*m, so no step carries between slots.  (The
-     per-slot fold that this replaces needed V = (2n-1)(2e-1)p^2: at
-     q = 2^16, n = 3 that made slots 24 bits wide instead of 16.)
+  5. Slot bound.  Before it is taken mod p a slot is at most
+     V' = (n*e + 1)(p-1)^2 + 2p.  Site by site, in products of two
+     coordinates below p: step 1 and a Frobenius image sum at most n*e of
+     them; step 2 at most e-1 and one coordinate; steps 3 and 4 at most
+     (n-1)*e and one coordinate; _divide at most e, then a remainder plus
+     p minus a coordinate; at e = 1 the trace reads at most n and
+     _recurrence_polynomial's vanishing check n+1, counted term by term
+     (its leading coefficient 1 and x^0 = 1 hold it to (n-1)(p-1)^2 +
+     2(p-1)); add, sub and neg at most 2p-1.  At p = 2 a slot mod 2 is its
+     low bit, so every slot is taken mod 2 by one AND with a repunit and W
+     only has to hold V'.  For odd p, with 2^s > V'*p and m = ceil(2^s/p),
+     floor(v/p) = floor(v*m / 2^s) for every v <= V', so the multiply-shift
+     is exact, and W holds V'*m.  W is rounded up to whole bytes for the
+     Frobenius map's to_bytes reads; no step carries between slots.  So
+     slots are one byte at p = 2 while n*e <= 250, as at (2, 20), (4, 6),
+     (2^16, 3), (2, 64) and (2, 128), where the multiply-shift sized for
+     n*e*p^2 that this replaces made them 16 or 24 bits wide; (3, 40) went
+     from 24 bits to 16.
 
 mu_g and mu_F are computed once per kernel, each by long division on the
 whole packed remainder: a step of the division by F is one multiply, one
@@ -88,8 +96,14 @@ digit; the callers' exponents are below q^n).  So q = 2 fields, (4, 6) and
 small prime fields keep binary powering and pay nothing per call, and
 (2^16, 3), (2^16, 2), (257, 3) and (16, 2) take Straus: alpha^m at
 (2^16, 3) went 0.77 -> 0.28-0.34 ms and at (2^16, 2) 0.23 -> 0.14-0.16
-ms.  The Frobenius map's slot images are built from T^q by binary
-powering, so a first pow on a fresh kernel does not recurse into them.
+ms.  Byte-wide slots (step 5) made multiplies at p = 2 two to six times
+cheaper, so the fixed cost weighs more there; re-measured per power in
+one process, k drawn from [q, q^n), Straus against binary: (2^16, 3) 161
+against 269 us, (2^16, 2) 79 against 94, (257, 3) 33 against 40, while
+at (16, 2) and (16, 3) binary powering is now ahead (14 against 17 us,
+35 against 36).  No bench or CLI field changes side, so the rule stands.
+The Frobenius map's slot images are built from T^q by binary powering,
+so a first pow on a fresh kernel does not recurse into them.
 
 The advice file format (normative for interoperability; unchanged by the
 packed representation):
@@ -444,11 +458,14 @@ class _Packed:
     degree n; neither has to be irreducible.  Coordinate (i, k) of T^i u^k
     sits in slot i*(2e-1) + k, W bits wide; a reduced element fills the
     slots with i < n and k < e, every one below p.  mul is steps 1-4 of
-    the module docstring, and W is sized for its slot bound V = n*e*p^2
-    (step 5).  The constants, all packed:
+    the module docstring, and W is sized for the slot bound
+    V' = (n*e + 1)(p-1)^2 + 2p of step 5.  _mod_p takes every slot of the
+    2n-1 rows of a product mod p: at p = 2 it is the AND with the repunit
+    of those slots, else the multiply-shift below.  The constants, all
+    packed:
 
-      * _m, _s: the multiply-shift that takes every slot mod p, masked by
-        _qmask over the 2n-1 rows of a product;
+      * _m, _s (odd p only): the multiply-shift, masked by _qmask over the
+        2n-1 rows of a product;
       * _mu_g = floor(u^(2e-2)/g) and _neg_g = u^e - g, one row each, with
         the row masks _uquo (e-1 slots) and _urem (e slots) and the shifts
         _uh_shift (e slots, to h) and _uq_shift (e-2 slots, to Q_u);
@@ -471,13 +488,15 @@ class _Packed:
     def __init__(self, p, g, F):
         e, n = len(g) - 1, len(F) - 1
         stride = 2 * e - 1
-        bound = n * e * p * p
-        s = (bound * p).bit_length()
-        m = -(-(1 << s) // p)
-        wb = ((bound * m).bit_length() + 7) // 8
+        bound = held = (n * e + 1) * (p - 1) ** 2 + 2 * p  # V', step 5
+        if p > 2:  # the multiply-shift's products v*m must fit as well
+            s = (bound * p).bit_length()
+            m = -(-(1 << s) // p)
+            held = bound * m
+        wb = (held.bit_length() + 7) // 8
         W = 8 * wb
         self.p, self.e, self.n, self.q = p, e, n, p**e
-        self._s, self._m, self._wb, self._bits = s, m, wb, W
+        self._wb, self._bits = wb, W
         self._rowbits, self._rowb = stride * W, stride * wb
         self._wmask, self._rowmask = (1 << W) - 1, (1 << self._rowbits) - 1
         self._ebytes = n * self._rowb
@@ -486,7 +505,10 @@ class _Packed:
         # Masks: a slot pattern times a repunit, one copy per slot or per row.
         slots = _repunit((2 * n - 1) * stride, W)  # 1 in every slot of rows 0..2n-2
         rows = _repunit(2 * n - 1, self._rowbits)  # 1 in slot 0 of rows 0..2n-2
-        self._qmask = ((1 << (W - s)) - 1) * slots
+        if p == 2:
+            self._mod_p = slots.__and__  # the low bit of every slot
+        else:
+            self._s, self._m, self._qmask = s, m, ((1 << (W - s)) - 1) * slots
         self._uquo, self._urem = ((1 << (e - 1) * W) - 1) * rows, ((1 << e * W) - 1) * rows
         self._uh_shift, self._uq_shift = e * W, (e - 2) * W
         self._th_shift, self._tq_shift = n * self._rowbits, (n - 2) * self._rowbits
@@ -566,6 +588,7 @@ class _Packed:
         return tuple(out)
 
     def _mod_p(self, x):
+        """Every slot mod p by the multiply-shift; at p = 2 __init__ binds an AND instead."""
         return x - self.p * (((x * self._m) >> self._s) & self._qmask)
 
     def _ureduce(self, z):
@@ -657,7 +680,11 @@ class _Packed:
         """x^q: one squaring when q = 2, else the F_q-linear map T^i u^k -> (T^q)^i u^k.
 
         The map reads n*e slots and adds as many images; at q = 2 one
-        product is cheaper than that.
+        product is cheaper than that.  With byte-wide slots the map still
+        beats x^q by binary powering at (4, 6), 3.2 against 3.9 us, and at
+        (2^16, 3), 12 against 60 us; at q = 3 the two multiplies of x^3 win,
+        (3, 12) 3.3 against 3.8 us and (3, 40) 6.4 against 12.4 us, on
+        fields no bench or CLI path uses.
         """
         if self.q == 2:
             return self.mul(x, x)
@@ -969,8 +996,9 @@ def _recurrence_polynomial(fctx, x):
     """Minimal polynomial of the packed x by Berlekamp-Massey on Tr(x^i); e = 1.
 
     Every slot of a product below holds a sum of at most n products of
-    coordinates below p, within the kernel's slot bound, so one shift and
-    mask read a trace and nothing carries into it.
+    coordinates below p, and the vanishing check's sum at most n+1; both
+    are within the kernel's slot bound (module docstring, step 5), so one
+    shift and mask read a trace and nothing carries into it.
     """
     n, k = fctx.n, fctx.kernel
     p, width, mask, tv = k.p, k._rowbits, k._wmask, _trace_vector(fctx)

@@ -6,15 +6,19 @@ compares them with the generic tuple routines over F_p[u]/g, on:
 
   * worst-case operands: every coordinate p-1, with every coefficient of g
     and F below the leading one p-1 as well; every slot that any step takes
-    mod p is also checked against the kernel's bound V = n*e*p^2;
+    mod p is also checked against the kernel's bound
+    V' = (n*e + 1)(p-1)^2 + 2p (gf module docstring, step 5);
   * random operands over random reducible moduli, g = (u - a)*g' and
     F = (T - b)*F';
 
 for every n in {1, 2, 3, 8}, e in {1, 2, 3, 16} and p in
-{2, 3, 257, 65537, 2^61-1}.  The Barrett constant mu_F is compared with
+{2, 3, 257, 65537, 2^61-1}, and at n = e = 16, p = 2, where V' = 261
+needs two-byte slots.  The Barrett constant mu_F is compared with
 the quotient of gf.pdivmod on the same grid and at q^n = 2^64, 2^128 and
 3^40, and a kernel whose mu_F or mu_g is wrong in one row has to fail its
-own self-check.
+own self-check.  The slot width is the least whole number of bytes that
+holds V' (p = 2) or the multiply-shift's V'*m (odd p), and the trace
+recurrence of prime-field minimal polynomials stays within V' too.
 """
 
 import random
@@ -26,7 +30,12 @@ from necklaces import gf
 from necklaces.errors import InvariantViolated
 
 KERNELS = [(n, e, p) for n in (1, 2, 3, 8) for e in (1, 2, 3, 16)
-           for p in (2, 3, 257, 65537, 2**61 - 1)]
+           for p in (2, 3, 257, 65537, 2**61 - 1)] + [(16, 16, 2)]
+
+
+def slot_bound(n, e, p):
+    """V' of the gf module docstring's step 5."""
+    return (n * e + 1) * (p - 1) ** 2 + 2 * p
 
 
 def _check(kernel, ref, x, y):
@@ -56,7 +65,7 @@ def test_worst_case_operands(n, e, p):
     top = (p - 1,) * e
     g, F = top + (1,), (top,) * n + ((1,),)
     kernel, ref = gf._Packed(p, g, F), RefQuotient(p, g, F)
-    _checked_mod_p(kernel, n * e * p * p)
+    _checked_mod_p(kernel, slot_bound(n, e, p))
     x = (top,) * n
     _check(kernel, ref, x, x)
 
@@ -165,3 +174,34 @@ def test_a_wrong_quotient_row_fails_the_self_check(monkeypatch, constant, p, g, 
     monkeypatch.setattr(gf._Packed, "mul", flipped_first)
     with pytest.raises(InvariantViolated):
         gf._Packed(p, g, F)
+
+
+@pytest.mark.parametrize("n, e, p", KERNELS)
+def test_slots_are_the_least_bytes_that_hold_the_bound(n, e, p):
+    """At p = 2 a slot holds V' itself (mod 2 is an AND); at odd p the
+    multiply-shift is exact below V' and its products V'*m fit."""
+    kernel = gf._Packed(p, (0,) * e + (1,), ((),) * n + ((1,),))
+    held = slot_bound(n, e, p)
+    if p > 2:
+        assert 2**kernel._s > held * p and kernel._m == -(-2**kernel._s // p)
+        held *= kernel._m
+    assert kernel._bits == 8 * -(-held.bit_length() // 8)
+
+
+@pytest.mark.parametrize("q, n, bits", [
+    (2, 20, 8), (4, 6, 8), (2**16, 3, 8), (2, 16, 8), (2, 64, 8), (2, 128, 8), (3, 40, 16),
+    (2**16, 16, 16)])  # n*e = 256: V' = 261 needs two bytes
+def test_slot_widths(q, n, bits):
+    base = gf.default_fq_ctx(q)
+    assert gf._Packed(base.p, base.g, ((1,),) + ((),) * (n - 1) + ((1,),))._bits == bits
+
+
+@pytest.mark.parametrize("q, n", [(2, 20), (2, 64), (3, 40), (5, 6), (2**61 - 1, 2)])
+def test_trace_recurrence_stays_within_the_bound(q, n):
+    """The trace reads and the vanishing check of e = 1 minimal polynomials."""
+    ctx = gf.find_primitive_polynomial(gf.default_fq_ctx(q), n, gf.factorize(q**n - 1), 1)
+    _checked_mod_p(ctx.kernel, slot_bound(n, 1, q))
+    rng, top = random.Random(q), ((q - 1,),) * n
+    for a in [top] + [ctx.element_from_int(rng.randrange(1, ctx.size)) for _ in range(20)]:
+        poly = gf.minimal_polynomial(ctx, a)
+        assert len(poly) == n + 1 and poly[-1] == (1,)
