@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import counting, engine, indexing
 from .errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
 from .gf import fq_kernel_basis, frobenius, generator_power
-from .words import NkString, _Frozen, _least_rotation, complement, max_rotation
+from .words import NkString, _Frozen, _least_rotation, max_rotation
 
 MATRIX_COLUMN_LIMIT = 2**14
 
@@ -59,12 +59,12 @@ def generator_row_count(params):
 
     Words whose whole orbit stays within the bound are all words minus those
     with some rotation above it, and the latter is a plain below-count on
-    the complemented alphabet.
+    the complemented alphabet: the ceiling side of the two-sided count,
+    read from the engine's memo that the row search's probes share, so a
+    generator entry builds one one-sided table.
     """
     ctx = params.ctx
-    ceiling = _word(params, params.d)
-    exceed = engine.count_below(complement(ceiling).digits, ctx.q)
-    return ctx.q**ctx.n - exceed
+    return ctx.q**ctx.n - engine._ceiling_side(_word(params, params.d).digits, ctx.q)[2]
 
 
 @lru_cache(maxsize=4096)
@@ -180,15 +180,17 @@ def parity_row_count(params):
 def parity_row(params, r):
     """The r-th orbit with minimum at most d, in minimal-representative order.
 
-    Those orbits come first in that order, so row r is the r-th necklace.
+    Those orbits come first in that order, so row r is the r-th necklace,
+    and it exists iff that necklace exists and its value is at most d.  The
+    search runs first; `parity_row_count`'s table is built only to word the
+    error past the last row.
     """
     ctx = params.ctx
     if r < 1:
         raise ValueError("rows are 1-based")
-    total = parity_row_count(params)
-    if r > total:
-        raise TooBig(f"row {r} beyond {total} parity rows")
     rep = indexing.index_necklace(ctx.n, ctx.q, r)
+    if rep is indexing.TOO_LARGE or rep.to_int() > params.d:
+        raise TooBig(f"row {r} beyond {parity_row_count(params)} parity rows")
     start, period = _least_rotation(rep.digits)
     if (ctx.n - start) % period:
         raise InvariantViolated("parity row search ended off a minimal rotation")

@@ -166,5 +166,5 @@ def count_words_below_with_ceiling(x, ceiling):
 
 
 def clear_caches():
-    for cache in (_count_dividing_cached, _divisor_table):
+    for cache in (_count_dividing_cached, _divisor_table, engine._ceiling_side):
         cache.cache_clear()

@@ -52,7 +52,11 @@ count_below_with_ceiling is a complement.  A rotation of y exceeds the
 ceiling c exactly when the matching rotation of the complemented word drops
 below the complemented ceiling c', so q^n - count_below(c') words have no
 rotation above c; take away the V words with every rotation inside [x, c].
-`_count_inside` counts V by closed walks on two KMP paths at once:
+The ceiling side does not depend on x: `_ceiling_side` builds it once per
+(c, q), as b, the least prenecklace >= c', its period and count_below(b),
+in a bounded memo, so the probes of a row search, all under one ceiling,
+share one table, and `bch.generator_row_count` reads its row total from the
+same entry.  `_count_inside` counts V by closed walks on two KMP paths at once:
 
   6. By step 1 on each side, V counts the words with no rotation below a,
      the least prenecklace >= x, with least period pa, and none above u,
@@ -98,6 +102,7 @@ rotation above c; take away the V words with every rotation inside [x, c].
      each of the pa states of a's cycle has exactly one partner: pa walks.
 """
 
+from functools import lru_cache
 from itertools import compress
 from operator import mul
 
@@ -211,8 +216,17 @@ def _count_inside(digits, b, pu, q):
     return total
 
 
+@lru_cache(maxsize=256)
+def _ceiling_side(ceiling, q):
+    """(b, pb, count_below(b)): b the least prenecklace >= the complemented ceiling.
+
+    The one table of a ceiling, kept across the probes of a row search.
+    """
+    b, pb = prenecklace_at_least(tuple(q - 1 - d for d in ceiling))
+    return tuple(b), pb, count_below_by_period(b, pb, q, (len(b),))[0]
+
+
 def count_below_with_ceiling(digits, ceiling, q):
     """#{y : some rotation below `digits` and no rotation above `ceiling`}."""
-    b, pb = prenecklace_at_least(tuple(q - 1 - d for d in ceiling))
-    above = count_below_by_period(b, pb, q, (len(b),))[0]
+    b, pb, above = _ceiling_side(tuple(ceiling), q)
     return q**len(digits) - above - _count_inside(digits, b, pb, q)

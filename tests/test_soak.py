@@ -10,7 +10,7 @@ import gc
 import random
 import tracemalloc
 
-from necklaces import bch, counting, gf, indexing, irreducible
+from necklaces import bch, counting, engine, gf, indexing, irreducible
 from necklaces.words import NkString
 
 SIZES = [(32, 2), (10, 2**26)]
@@ -80,7 +80,7 @@ def _field_run(rng, fields, calls):
 
 
 def test_field_caches_stay_bounded():
-    """The row memo (4096 entries) and the threshold memo (256) fill in the first half.
+    """The row, threshold and ceiling memos (4096, 256, 256 entries) fill in the first half.
 
     The first half (about 6,500 row-memo misses) also churns the row memo
     past its first table resize after filling: CPython's dict grows its
@@ -102,11 +102,12 @@ def test_field_caches_stay_bounded():
     def run(calls):
         _field_run(rng, fields, calls)
         full.append([c.cache_info().currsize == c.cache_info().maxsize
-                     for c in (bch._cumulative_rows, counting._count_dividing_cached)])
+                     for c in (bch._cumulative_rows, counting._count_dividing_cached,
+                               engine._ceiling_side)])
         table_sizes.append([len(t) if f.generator_powers is t else None
                             for f, t in zip(fields, tables)])
 
     first, second = _readings(run, (1600, 400))
-    assert full[0] == [True, True], full
+    assert full[0] == [True, True, True], full
     assert table_sizes == [sizes, sizes], (table_sizes, sizes)
     assert second <= first + 32 * 1024, (first, second)
