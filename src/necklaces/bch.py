@@ -14,8 +14,6 @@ through a joint count of orbits below one threshold with all rotations
 below a ceiling.
 """
 
-from functools import lru_cache
-
 from . import counting, engine, indexing
 from .errors import InvariantViolated, NotADivisor, NotInBaseField, TooBig, ZeroColumn
 from .gf import fq_kernel_basis, frobenius, generator_power
@@ -50,6 +48,14 @@ def _word(params, value):
     return NkString.from_int(params.ctx.n, params.ctx.q, value)
 
 
+def _orbit(rep, side):
+    """The orbit of rep, where a row search ended; rep must be its least rotation."""
+    start, period = _least_rotation(rep.digits)
+    if (rep.n - start) % period:
+        raise InvariantViolated(f"{side} row search ended off a minimal rotation")
+    return OrbitSet(rep.to_int(), period)
+
+
 # ---------------------------------------------------------------------------
 # generator side
 
@@ -63,15 +69,7 @@ def generator_row_count(params):
     read from the engine's memo that the row search's probes share, so a
     generator entry builds one one-sided table.
     """
-    ctx = params.ctx
-    return ctx.q**ctx.n - engine._ceiling_side(_word(params, params.d).digits, ctx.q)[2]
-
-
-@lru_cache(maxsize=4096)
-def _cumulative_rows(n, q, x_digits, d_digits):
-    x = NkString(n, q, x_digits)
-    ceiling = NkString(n, q, d_digits)
-    return counting.count_words_below_with_ceiling(x, ceiling)
+    return engine.count_within_ceiling(_word(params, params.d).digits, params.ctx.q)
 
 
 def generator_row(params, r):
@@ -81,27 +79,24 @@ def generator_row(params, r):
     [0, q^n] and interpolates in s = 1 - (1 - x/q^n)^n (`indexing` module
     docstring): the rows below x are the words whose least rotation lies
     below x and whose orbit stays within {0, ..., d}, close to that share
-    of all words when d is near q^n.
+    of all words when d is near q^n.  Each probe is one two-sided count
+    under the ceiling word(d), and the search returns the rows below the
+    orbit it ends on, so the row's position in its orbit is r minus them.
     """
     ctx = params.ctx
-    n, q = ctx.n, ctx.q
+    q = ctx.q
     if r < 1:
         raise ValueError("rows are 1-based")
     total = generator_row_count(params)
     if r > total:
         raise TooBig(f"row {r} beyond {total} generator rows")
-    ceiling = _word(params, params.d)
-
-    def cum(word):
-        return _cumulative_rows(n, q, word.digits, ceiling.digits)
-
-    rep = indexing._search(n, q, r, cum, total)
-    start, period = _least_rotation(rep.digits)
-    if (n - start) % period:
-        raise InvariantViolated("generator row search ended off a minimal rotation")
-    if max_rotation(rep)[0].digits > ceiling.digits:
+    ceiling = _word(params, params.d).digits
+    rep, below = indexing._search(
+        ctx.n, q, r, lambda x: engine.count_below_with_ceiling(x.digits, ceiling, q), total)
+    orbit = _orbit(rep, "generator")
+    if max_rotation(rep)[0].digits > ceiling:
         raise InvariantViolated("generator row orbit leaves {0, ..., d}")
-    return OrbitSet(rep.to_int(), period), r - cum(rep)
+    return orbit, r - below
 
 
 def subfield_basis(ctx, ell):
@@ -139,9 +134,7 @@ def generator_value(ctx, row, alpha):
     over k < |orbit|; alpha^0 = 1 even for alpha = 0.  The sum runs on the
     packed kernel, with one pack of beta and alpha and one unpack.  alpha^m
     is the kernel's pow: Straus's simultaneous powering over the base-q
-    digits of m where the field's (q, n) favours it (`gf` module docstring),
-    which took a gen (2^16, 3) entry's alpha^m from 0.77 to 0.28-0.34 ms;
-    byte-wide slots at p = 2 (`gf` step 5) then took it to 0.13-0.16 ms.
+    digits of m where the field's (q, n) favours it (`gf` module docstring).
     """
     orbit, j = row
     k = ctx.kernel
@@ -191,10 +184,7 @@ def parity_row(params, r):
     rep = indexing.index_necklace(ctx.n, ctx.q, r)
     if rep is indexing.TOO_LARGE or rep.to_int() > params.d:
         raise TooBig(f"row {r} beyond {parity_row_count(params)} parity rows")
-    start, period = _least_rotation(rep.digits)
-    if (ctx.n - start) % period:
-        raise InvariantViolated("parity row search ended off a minimal rotation")
-    return OrbitSet(rep.to_int(), period)
+    return _orbit(rep, "parity")
 
 
 def parity_value(ctx, orbit, alpha):

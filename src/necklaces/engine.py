@@ -53,10 +53,11 @@ ceiling c exactly when the matching rotation of the complemented word drops
 below the complemented ceiling c', so q^n - count_below(c') words have no
 rotation above c; take away the V words with every rotation inside [x, c].
 The ceiling side does not depend on x: `_ceiling_side` builds it once per
-(c, q), as b, the least prenecklace >= c', its period and count_below(b),
-in a bounded memo, so the probes of a row search, all under one ceiling,
-share one table, and `bch.generator_row_count` reads its row total from the
-same entry.  `_count_inside` counts V by closed walks on two KMP paths at once:
+(c, q), as b, the least prenecklace >= c', its period and
+q^n - count_below(b), in a bounded memo, so the probes of a row search, all
+under one ceiling, share one table, and `count_within_ceiling`, which
+`bch.generator_row_count` reads, is the same entry.  `_count_inside` counts
+V by closed walks on two KMP paths at once:
 
   6. By step 1 on each side, V counts the words with no rotation below a,
      the least prenecklace >= x, with least period pa, and none above u,
@@ -218,15 +219,20 @@ def _count_inside(digits, b, pu, q):
 
 @lru_cache(maxsize=256)
 def _ceiling_side(ceiling, q):
-    """(b, pb, count_below(b)): b the least prenecklace >= the complemented ceiling.
+    """(b, pb, q^n - count_below(b)): b the least prenecklace >= the complemented ceiling.
 
     The one table of a ceiling, kept across the probes of a row search.
     """
     b, pb = prenecklace_at_least(tuple(q - 1 - d for d in ceiling))
-    return tuple(b), pb, count_below_by_period(b, pb, q, (len(b),))[0]
+    return tuple(b), pb, q ** len(b) - count_below_by_period(b, pb, q, (len(b),))[0]
+
+
+def count_within_ceiling(ceiling, q):
+    """#{y : no rotation above `ceiling`}."""
+    return _ceiling_side(tuple(ceiling), q)[2]
 
 
 def count_below_with_ceiling(digits, ceiling, q):
     """#{y : some rotation below `digits` and no rotation above `ceiling`}."""
-    b, pb, above = _ceiling_side(tuple(ceiling), q)
-    return q**len(digits) - above - _count_inside(digits, b, pb, q)
+    b, pb, within = _ceiling_side(tuple(ceiling), q)
+    return within - _count_inside(digits, b, pb, q)

@@ -52,9 +52,7 @@ reduction (Barrett, CRYPTO '86) with quotients by precomputed inverses
      is exact, and W holds V'*m.  W is rounded up to whole bytes for the
      Frobenius map's to_bytes reads; no step carries between slots.  So
      slots are one byte at p = 2 while n*e <= 250, as at (2, 20), (4, 6),
-     (2^16, 3), (2, 64) and (2, 128), where the multiply-shift sized for
-     n*e*p^2 that this replaces made them 16 or 24 bits wide; (3, 40) went
-     from 24 bits to 16.
+     (2^16, 3), (2, 64) and (2, 128), and two bytes at (3, 40).
 
 mu_g and mu_F are computed once per kernel, each by long division on the
 whole packed remainder: a step of the division by F is one multiply, one
@@ -94,14 +92,13 @@ Binary powering takes about 1.5*bits(q^n - 1).  Straus is taken when n > 1
 and its count is the lower, and only for q <= k < q^n (below q there is one
 digit; the callers' exponents are below q^n).  So q = 2 fields, (4, 6) and
 small prime fields keep binary powering and pay nothing per call, and
-(2^16, 3), (2^16, 2), (257, 3) and (16, 2) take Straus: alpha^m at
-(2^16, 3) went 0.77 -> 0.28-0.34 ms and at (2^16, 2) 0.23 -> 0.14-0.16
-ms.  Byte-wide slots (step 5) made multiplies at p = 2 two to six times
-cheaper, so the fixed cost weighs more there; re-measured per power in
-one process, k drawn from [q, q^n), Straus against binary: (2^16, 3) 161
-against 269 us, (2^16, 2) 79 against 94, (257, 3) 33 against 40, while
-at (16, 2) and (16, 3) binary powering is now ahead (14 against 17 us,
-35 against 36).  No bench or CLI field changes side, so the rule stands.
+(2^16, 3), (2^16, 2), (257, 3) and (16, 2) take Straus.  Byte-wide slots
+(step 5) make multiplies at p = 2 cheap, so the fixed cost weighs more
+there; measured per power in one process, k drawn from [q, q^n), Straus
+against binary: (2^16, 3) 161 against 269 us, (2^16, 2) 79 against 94,
+(257, 3) 33 against 40, while at (16, 2) and (16, 3) binary powering is
+ahead (14 against 17 us, 35 against 36).  No bench or CLI field is on the
+wrong side, so the rule stands.
 The Frobenius map's slot images are built from T^q by binary powering,
 so a first pow on a fresh kernel does not recurse into them.
 
@@ -257,7 +254,14 @@ def _pollard_rho(m):
 
 
 def factorize(m):
-    """Prime factors of m with multiplicity, ascending; trial division + rho."""
+    """Prime factors of m with multiplicity, ascending.
+
+    2..13 are divided out; every cofactor then goes to Baillie-PSW and, if
+    composite, is split by Pollard rho.  Trial division of the cofactors
+    below 10^12 is slower: for 999999999989 (prime) it took 40-80 ms against
+    under 0.2 ms, while a smooth order such as 2^48 - 1 costs at most about
+    0.1 ms more by rho.
+    """
     if m < 1:
         raise ValueError("factorize expects a positive integer")
     out = []
@@ -266,22 +270,8 @@ def factorize(m):
             out.append(p)
             m //= p
     stack = [m] if m > 1 else []
-    d = 17
-    while stack and stack[-1] < 10**12:
-        m = stack.pop()
-        while d * d <= m:
-            if m % d == 0:
-                out.append(d)
-                m //= d
-            else:
-                d += 2
-        if m > 1:
-            out.append(m)
-        d = 17
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             out.append(m)
             continue
@@ -936,10 +926,7 @@ def minimal_polynomial(fctx, a):
         conjugate product leaves F_q.  Distinct conjugates with Frob^n(a) = a
         need factors of F of two coprime degrees, so n >= 6; there the
         product raises CoefficientNotInBase, and this returns a's annihilator
-        when it has degree n and raises InvariantViolated when it is lower.  Measured per polynomial against the product, min over
-        20 seeded elements in-process, on a host whose speed varied up to 2x
-        between runs: (2, 20) 0.42-0.77 -> 0.18-0.24 ms, (3, 40) 4.1-5.2 ->
-        1.0-1.2 ms, (2, 64) 20-22 -> 2.2-2.4 ms, (2, 128) 385 -> 12-13 ms.
+        when it has degree n and raises InvariantViolated when it is lower.
       * e > 1: the product of (T - conjugate), verified coefficient by
         coefficient to collapse into F_q (else CoefficientNotInBase), all
         packed.  A Berlekamp-Massey on packed F_q rows, inverting by

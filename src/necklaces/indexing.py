@@ -74,20 +74,23 @@ class RankResult(_Frozen):
 
 
 def _walk(n, q, lo, hi, target, weight):
-    """The necklace in [lo, hi) at which the weights summed from lo reach target.
+    """(x, passed): x the necklace in [lo, hi) where the weights summed from lo reach target.
 
     Steps through the prenecklaces from the least one >= lo with the FKM
     successor and sums weight(digits, period) over the necklaces among them
-    (period | n).  Raises InvariantViolated if the sum has not reached target
-    below hi, or the walk runs past the last prenecklace.
+    (period | n); `passed` is that sum over the necklaces in [lo, x).  Raises
+    InvariantViolated if the sum has not reached target below hi, or the
+    walk runs past the last prenecklace.
     """
     a, p = prenecklace_at_least(NkString.from_int(n, q, lo).digits)
     last = list(NkString.from_int(n, q, hi - 1).digits)
+    passed = 0
     while a <= last:
         if n % p == 0:
-            target -= weight(a, p)
-            if target <= 0:
-                return NkString(n, q, tuple(a))
+            w = weight(a, p)
+            if passed + w >= target:
+                return NkString(n, q, tuple(a)), passed
+            passed += w
         p = next_prenecklace(a, q)
         if not p:
             raise InvariantViolated("necklace walk ran past the last prenecklace")
@@ -161,7 +164,7 @@ def _model_point(n, b, r, width):
 
 
 def _search(n, q, j, below, total, head=None, weight=None):
-    """Largest word x with below(x) < j, by one safeguarded interpolation loop.
+    """(x, below(x)), x the largest word with below(x) < j: one safeguarded interpolation loop.
 
     The contract: `below` is nondecreasing in the word, below(0^n) = 0,
     `total` is below at the virtual word q^n past the last one, and
@@ -185,6 +188,10 @@ def _search(n, q, j, below, total, head=None, weight=None):
     below_hi - below_lo <= n and walks from lo to the necklace at which the
     weights reach j - below_lo: n successor steps cost less than one probe,
     and the search would need about log2 n more.
+
+    The count comes with the word at no cost: it is below_lo when the
+    probes close the bracket on lo, and below_lo plus the weight that the
+    walk passed before its answer otherwise.
     """
     bits = (q - 1).bit_length()
     lo, hi, below_lo, below_hi = 0, q**n, 0, total
@@ -195,8 +202,9 @@ def _search(n, q, j, below, total, head=None, weight=None):
         q, j, lambda x: below(NkString.from_int(n, q, x)), lo, hi, below_lo, below_hi,
         n * bits + 2, stop=n if weight is not None else 0, power=n if head is None else 0)
     if hi - lo > 1:
-        return _walk(n, q, lo, hi, j - below_lo, weight)
-    return NkString.from_int(n, q, lo)
+        word, passed = _walk(n, q, lo, hi, j - below_lo, weight)
+        return word, below_lo + passed
+    return NkString.from_int(n, q, lo), below_lo
 
 
 def _unrank(n, q, j, lyndon):
@@ -209,7 +217,7 @@ def _unrank(n, q, j, lyndon):
     below = counting.count_lyndon_below if lyndon else counting.count_necklaces_below
     return _search(n, q, j, below, total,
                    lambda d: total - counting.orbits_in_closed_form(n, q - d, lyndon),
-                   lambda a, p: not lyndon or p == n)
+                   lambda a, p: not lyndon or p == n)[0]
 
 
 def index_necklace(n, q, j):

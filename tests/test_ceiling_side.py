@@ -17,11 +17,6 @@ from necklaces.errors import TooBig
 from necklaces.words import NkString, complement, prenecklace_at_least
 
 
-def _clear():
-    counting.clear_caches()
-    bch._cumulative_rows.cache_clear()
-
-
 def _tables(monkeypatch):
     """The prenecklaces that `engine.count_below_by_period` builds tables for, as tuples."""
     table, built = engine.count_below_by_period, []
@@ -45,7 +40,7 @@ def test_generator_entry_builds_one_table(q, n, monkeypatch):
     for _ in range(3):
         params = bch.BchParams(fctx, rng.randint(q**n - q**(n - 1), q**n - 2))
         r = rng.randint(1, bch.generator_row_count(params))
-        _clear()
+        counting.clear_caches()
         built.clear()
         probes.clear()
         bch.generator_entry(params, r, fctx.element_from_int(rng.randrange(q**n)))
@@ -62,7 +57,7 @@ def test_parity_entry_builds_no_table_at_the_bound(monkeypatch):
     for _ in range(4):
         params = bch.BchParams(fctx, rng.randint(q**n - q**(n - 1), q**n - 2))
         r = rng.randint(1, bch.parity_row_count(params))
-        _clear()
+        counting.clear_caches()
         built.clear()
         bch.parity_entry(params, r, fctx.element_from_int(rng.randrange(1, q**n)))
         bound = NkString.from_int(n, q, params.d + 1).digits
@@ -81,7 +76,7 @@ def _brute_with_ceiling(x, ceiling, q):
 def test_ceiling_memo_is_keyed_by_alphabet(order):
     """One ceiling's digits under two alphabets are two ceilings."""
     ceiling = (1, 0, 1, 1)
-    _clear()
+    counting.clear_caches()
     for q in order:
         for x in product(range(q), repeat=len(ceiling)):
             want = _brute_with_ceiling(x, ceiling, q)

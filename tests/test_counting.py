@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -6,8 +8,10 @@ from conftest import (
     all_words,
     brute_count_below,
     brute_necklaces_below,
+    primitive_field,
 )
-from necklaces import counting, engine, programs
+import necklaces
+from necklaces import bch, counting, engine, indexing, programs
 from necklaces.errors import InvariantViolated, NotADivisor
 from necklaces.oracle import closed_form_counts
 from necklaces.words import NkString, parse_word
@@ -195,6 +199,35 @@ def test_orbit_count_reads_its_table_once(count):
     after = counting._count_dividing_cached.cache_info()
     assert (after.hits + after.misses) - (before.hits + before.misses) == 1
     assert after.misses - before.misses == 1
+
+
+def _package_memos():
+    """Every lru_cache wrapper at module or class level in the `necklaces` modules."""
+    memos = {}
+    for info in pkgutil.iter_modules(necklaces.__path__):
+        module = importlib.import_module(f"necklaces.{info.name}")
+        scopes = [vars(module)] + [vars(c) for c in vars(module).values() if isinstance(c, type)]
+        for scope in scopes:
+            for name, value in scope.items():
+                if hasattr(value, "cache_info") and hasattr(value, "cache_clear"):
+                    memos[f"{info.name}.{name}"] = value
+    return memos
+
+
+def test_clear_caches_empties_every_package_memo():
+    """After a rank, an unrank, a gen entry and a pc entry, clear_caches leaves no memo entry."""
+    fctx = primitive_field(4, 3)
+    params = bch.BchParams(fctx, 50)
+    indexing.reverse_index_necklace(w("0010110011"))
+    indexing.index_lyndon(10, 2, 40)
+    bch.generator_entry(params, 3, fctx.element_from_int(9))
+    bch.parity_entry(params, 3, fctx.element_from_int(9))
+    memos = _package_memos()
+    assert {"counting._count_dividing_cached", "engine._ceiling_side"} <= set(memos)
+    assert any(memo.cache_info().currsize for memo in memos.values())
+    counting.clear_caches()
+    left = {name: memo.cache_info().currsize for name, memo in memos.items()}
+    assert not any(left.values()), left
 
 
 def test_two_sided_count():

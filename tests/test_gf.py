@@ -36,6 +36,10 @@ def test_primality_and_factorize():
     assert gf.factorize(360) == [2, 2, 2, 3, 3, 5]
     assert gf.factorize(2**31 - 1) == [2147483647]
     assert gf.factorize((2**31 - 1) * 97) == [97, 2147483647]
+    # Cofactors below 10^12 take the same Baillie-PSW and rho path as larger ones.
+    assert gf.factorize(999999999989) == [999999999989]
+    assert gf.factorize(999983 * 999979) == [999979, 999983]
+    assert gf.factorize(999999000001) == [999999000001]
 
 
 @pytest.mark.parametrize("q", [0, 1, 6, 12])

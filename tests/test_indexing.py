@@ -143,7 +143,32 @@ def test_walk_reaches_every_rank_from_the_bottom(n, q):
             "lyndon": [rep for rep, size in orbits if size == n]}
     for kind, weight in weights.items():
         for j, rep in enumerate(reps[kind], start=1):
-            assert indexing._walk(n, q, 0, q**n, j, weight) == rep, (kind, j)
+            assert indexing._walk(n, q, 0, q**n, j, weight) == (rep, j - 1), (kind, j)
+
+
+@pytest.mark.parametrize("n, q", [(6, 2), (8, 2), (4, 3), (3, 5)])
+def test_walk_passes_the_weight_below_its_answer(n, q):
+    """From any lo, the passed weight is the weight of the necklaces in [lo, answer).
+
+    Each necklace weighs its orbit size, or 0 when its digit sum is a
+    multiple of 3, the way a generator row search weighs an orbit that
+    leaves its ceiling.
+    """
+    def weight(a, p):
+        return 0 if sum(a) % 3 == 0 else p
+
+    orbits = brute_orbits(n, q)
+    rng = random.Random(n * 100 + q)
+    for lo in sorted({0, q**n // 2} | {rng.randrange(q**n) for _ in range(6)}):
+        passed = 0
+        for rep, size in orbits:
+            own = weight(rep.digits, size)
+            if rep.to_int() < lo or not own:
+                continue
+            for target in {passed + 1, passed + own}:
+                got = indexing._walk(n, q, lo, q**n, target, weight)
+                assert got == (rep, passed), (lo, target)
+            passed += own
 
 
 def test_walk_raises_on_an_off_by_one_count(monkeypatch):

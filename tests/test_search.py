@@ -39,7 +39,8 @@ def budget(n, q):
 def searches(monkeypatch):
     """Runs every indexing._search through a wrapper that counts its probes.
 
-    Yields the list of (n, q, j, below, answer, probes), one per search.
+    Yields the list of (n, q, j, below, answer, probes), one per search;
+    the answer is the (word, count below it) pair that the search returns.
     """
     seen = []
     search = indexing._search
@@ -63,7 +64,8 @@ def searches(monkeypatch):
 def check(searches):
     for n, q, j, below, got, probes in searches:
         assert probes <= budget(n, q), (n, q, j, probes)
-        assert got == bisect(n, q, j, below), (n, q, j)
+        want = bisect(n, q, j, below)
+        assert got == (want, below(want)), (n, q, j)
     searches.clear()
 
 
@@ -197,6 +199,7 @@ def test_search_contract_on_flat_counts(counts, data):
     total = cum[-1]
     j = data.draw(st.integers(1, total), label="j")
     want = bisect(n, q, j, lambda x: cum[x.to_int()])
+    want = want, cum[want.to_int()]
     heads = 0
 
     def head(d):
@@ -251,7 +254,8 @@ def test_search_past_the_float_range(with_head, power):
 
         heads = 0
         got = indexing._search(n, q, j, below, total, head if with_head else None)
-        assert got == bisect(n, q, j, lambda x: cum(x.to_int())), (power, j)
+        want = bisect(n, q, j, lambda x: cum(x.to_int()))
+        assert got == (want, cum(want.to_int())), (power, j)
         assert probes <= budget(n, q), (power, j, probes)
         assert heads <= math.ceil(math.log2(q)) + 3, (power, j, heads)
 
@@ -355,6 +359,7 @@ def test_search_contract_on_shaped_counts(counts, data):
     total = cum[-1]
     j = data.draw(st.integers(1, total), label="j")
     want = bisect(n, q, j, lambda x: cum[x.to_int()])
+    want = want, cum[want.to_int()]
     heads = 0
 
     def head(d):

@@ -17,14 +17,9 @@ SIZES = [(32, 2), (10, 2**26)]
 FIELDS = [(16, 2), (27, 2)]
 
 
-def _clear_caches():
-    counting.clear_caches()
-    bch._cumulative_rows.cache_clear()
-
-
 def _readings(run, halves):
     """Traced memory after run(calls) for each calls in halves, from empty caches."""
-    _clear_caches()
+    counting.clear_caches()
     tracemalloc.start()
     try:
         readings = []
@@ -34,7 +29,7 @@ def _readings(run, halves):
             readings.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
-        _clear_caches()
+        counting.clear_caches()
     return readings
 
 
@@ -80,16 +75,12 @@ def _field_run(rng, fields, calls):
 
 
 def test_field_caches_stay_bounded():
-    """The row, threshold and ceiling memos (4096, 256, 256 entries) fill in the first half.
+    """The threshold and ceiling memos (256 entries each) fill in the first half.
 
-    The first half (about 6,500 row-memo misses) also churns the row memo
-    past its first table resize after filling: CPython's dict grows its
-    table once under steady eviction, by about 150 KiB at 4096 entries, and
-    then keeps that size.  Under tracemalloc these calls run about 11 times
-    slower, so the second half is less than a third of the first; an
-    unbounded row memo still adds over 200 KiB there.  The divisor tables
-    and closed forms hold a few keys per context, each context's subfield
-    bases one per divisor of n, and its fixed-base table of generator powers
+    Under tracemalloc these calls run about 11 times slower, so the second
+    half is less than a third of the first.  The divisor tables and closed
+    forms hold a few keys per context, each context's subfield bases one per
+    divisor of n, and its fixed-base table of generator powers
     (`gf.generator_power`) 15 per hex digit of the group order, built once.
     """
     fields = [gf.find_primitive_polynomial(gf.default_fq_ctx(q), n, gf.factorize(q**n - 1), 1)
@@ -102,12 +93,11 @@ def test_field_caches_stay_bounded():
     def run(calls):
         _field_run(rng, fields, calls)
         full.append([c.cache_info().currsize == c.cache_info().maxsize
-                     for c in (bch._cumulative_rows, counting._count_dividing_cached,
-                               engine._ceiling_side)])
+                     for c in (counting._count_dividing_cached, engine._ceiling_side)])
         table_sizes.append([len(t) if f.generator_powers is t else None
                             for f, t in zip(fields, tables)])
 
     first, second = _readings(run, (1600, 400))
-    assert full[0] == [True, True, True], full
+    assert full[0] == [True, True], full
     assert table_sizes == [sizes, sizes], (table_sizes, sizes)
     assert second <= first + 32 * 1024, (first, second)
