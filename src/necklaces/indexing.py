@@ -13,6 +13,21 @@ successor (Ruskey, Savage and Wang, J. Algorithms 1992): n steps cost less
 than one probe, and the search would need about log2 n.
 Ranking counts the orbits below the canonical rotation.  Ranks are 1-based.
 
+A necklace has no digit below its first one, d: a later, smaller digit
+would start a smaller rotation.  So once the first digit is fixed, the
+necklaces of its bucket are among the words (d, d + y), y one of the
+(q - d)^(n-1) words of n - 1 digits in radix q - d, and the word phase
+searches y in radix q - d with every digit offset by d (`_word`).  The
+words it skips have a digit below d and leave the count flat, and the
+bucket's counts carry over: no necklace lies in [(d, 0, ..., 0), d^n), so
+y = 0, the word d^n, has the count of (d, 0, ..., 0), and the bracket's top
+(q - d)^(n-1) stands for (d + 1, 0, ..., 0).  In base q the count is flat
+wherever a later digit is below d, which interpolation does not know: a
+probe that gains a whole digit is followed by one that gains about d/q of
+one.  The floor holds only for a count of necklaces, which is what a
+`weight` says; a search with a head and no weight keeps radix q.  At q = 2
+the map is the identity: d = 0, or d = 1 and one word.
+
 Over a whole range [0, X] the counts are strongly concave.  A word's least
 rotation lies below t * q^n unless all n of its rotations lie above, and
 were the rotations independent uniform words that would happen with
@@ -73,17 +88,34 @@ class RankResult(_Frozen):
         object.__setattr__(self, "canonical", canonical)
 
 
-def _walk(n, q, lo, hi, target, weight):
+def _word(n, q, floor, x):
+    """The word whose digits less `floor` are x's n digits in radix q - floor.
+
+    With floor 0 that is x's base-q expansion.  The map keeps the order of
+    the words, and its image is the words with no digit below `floor`.
+    Raises ValueError unless 0 <= x < (q - floor)^n.
+    """
+    radix, digits = q - floor, [floor] * n
+    for i in range(n - 1, -1, -1):
+        x, d = divmod(x, radix)
+        digits[i] += d
+    if x:
+        raise ValueError("value out of range for the given length")
+    return NkString(n, q, tuple(digits))
+
+
+def _walk(n, q, lo, hi, target, weight, floor=0):
     """(x, passed): x the necklace in [lo, hi) where the weights summed from lo reach target.
 
-    Steps through the prenecklaces from the least one >= lo with the FKM
-    successor and sums weight(digits, period) over the necklaces among them
-    (period | n); `passed` is that sum over the necklaces in [lo, x).  Raises
-    InvariantViolated if the sum has not reached target below hi, or the
-    walk runs past the last prenecklace.
+    lo and hi stand for words through `_word` with `floor`.  Steps through
+    the prenecklaces from the least one >= word(lo) with the FKM successor
+    and sums weight(digits, period) over the necklaces among them (period |
+    n); `passed` is that sum over the necklaces in [word(lo), x).  Raises
+    InvariantViolated if the sum has not reached target by word(hi - 1), or
+    the walk runs past the last prenecklace.
     """
-    a, p = prenecklace_at_least(NkString.from_int(n, q, lo).digits)
-    last = list(NkString.from_int(n, q, hi - 1).digits)
+    a, p = prenecklace_at_least(_word(n, q, floor, lo).digits)
+    last = list(_word(n, q, floor, hi - 1).digits)
     passed = 0
     while a <= last:
         if n % p == 0:
@@ -178,13 +210,19 @@ def _search(n, q, j, below, total, head=None, weight=None):
 
     `_narrow` runs over the digits [0, q] when there is a head, with budget
     ceil(log2 q) + 2 (so at most that many head evaluations), then
-    over the words, with budget n * ceil(log2 q) + 2.  The digit phase, and
-    the word phase when there is no head, interpolate in the model
-    s = 1 - (1 - x/X)^n (module docstring).  The word phase after a head
-    interpolates in x: inside one first-digit bucket the model did not pay
-    (over 200 seeded necklace ranks at (10, 2^26), 21.75 word probes per
-    search plain, 32.19 with the model over the bucket and 21.66 with the
-    model over [0, q^n]).  With a weight it stops once
+    over the words, with budget n * ceil(log2 q) + 2.  With a head and a
+    weight the word phase after the first digit d runs over the words with
+    no digit below d, in radix q - d (module docstring): the weight says
+    that only necklaces count, and a necklace has no digit below its first.
+    Without a weight it keeps radix q.  `bch.generator_row` passes no head:
+    its bracket spans every first digit until the probes close in, so no
+    one d bounds the digits it searches.
+    The digit phase, and the word phase when there is no head, interpolate
+    in the model s = 1 - (1 - x/X)^n (module docstring).  The word phase
+    after a head interpolates in x: inside one first-digit bucket the model
+    did not pay (over 202 seeded necklace ranks at (10, 2^26), 10.96 word
+    probes per search plain in radix q - d, 22.57 with the model over the
+    bucket, and 21.55 plain in radix q).  With a weight it stops once
     below_hi - below_lo <= n and walks from lo to the necklace at which the
     weights reach j - below_lo: n successor steps cost less than one probe,
     and the search would need about log2 n more.
@@ -194,17 +232,21 @@ def _search(n, q, j, below, total, head=None, weight=None):
     walk passed before its answer otherwise.
     """
     bits = (q - 1).bit_length()
-    lo, hi, below_lo, below_hi = 0, q**n, 0, total
+    lo, hi, below_lo, below_hi, floor = 0, q**n, 0, total, 0
     if head is not None:
         first, _, below_lo, below_hi = _narrow(q, j, head, 0, q, 0, total, bits + 2, power=n)
-        lo, hi = first * q ** (n - 1), (first + 1) * q ** (n - 1)
+        if weight is not None:
+            floor = first
+        size = (q - floor) ** (n - 1)
+        lo = (first - floor) * size
+        hi = lo + size
     lo, hi, below_lo, below_hi = _narrow(
-        q, j, lambda x: below(NkString.from_int(n, q, x)), lo, hi, below_lo, below_hi,
+        q, j, lambda x: below(_word(n, q, floor, x)), lo, hi, below_lo, below_hi,
         n * bits + 2, stop=n if weight is not None else 0, power=n if head is None else 0)
     if hi - lo > 1:
-        word, passed = _walk(n, q, lo, hi, j - below_lo, weight)
+        word, passed = _walk(n, q, lo, hi, j - below_lo, weight, floor)
         return word, below_lo + passed
-    return NkString.from_int(n, q, lo), below_lo
+    return _word(n, q, floor, lo), below_lo
 
 
 def _unrank(n, q, j, lyndon):

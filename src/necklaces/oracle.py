@@ -164,7 +164,7 @@ def selftest(max_n_binary=8):
         lines.append(f"{'PASS' if cond else 'FAIL'} {name}")
 
     # necklace/Lyndon bijections against enumerated orbits
-    for q, top in ((2, max_n_binary), (3, 4)):
+    for q, top in ((2, max_n_binary), (3, 4), (5, 4)):
         good = True
         for n in range(1, top + 1):
             reps = [rep for rep, _ in brute_orbits(n, q)]

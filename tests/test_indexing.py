@@ -203,6 +203,28 @@ def test_seeded_ranks_within_bisection(probes, kind, n, draws):
         assert len(probes) <= n, (j, len(probes))
 
 
+@pytest.mark.parametrize("kind", ["necklace", "lyndon"])
+@pytest.mark.parametrize("n, q, draws", [(10, 2**26, 40), (16, 2**64, 10), (3, 2**16, 60)],
+                         ids=["n10-q2^26", "n16-q2^64", "n3-q2^16"])
+def test_large_alphabet_ranks_take_about_n_probes(probes, kind, n, q, draws):
+    """Seeded unranks at large q take at most n + 2 probes on average and 2n at most.
+
+    After the first digit d the search runs in radix q - d over the words
+    with no digit below d.  In radix q the count is flat wherever a later
+    digit is below d, and the search took about 2n probes on average.
+    """
+    unrank = indexing.index_necklace if kind == "necklace" else indexing.index_lyndon
+    total = (counting.count_necklaces if kind == "necklace" else counting.count_lyndon)(n, q)
+    rng = random.Random(n * 31 + q)
+    counts = []
+    for j in [1, total] + [rng.randint(1, total) for _ in range(draws)]:
+        probes.clear()
+        unrank(n, q, j)
+        counts.append(len(probes))
+    assert sum(counts) <= (n + 2) * len(counts), sorted(counts)
+    assert max(counts) <= 2 * n, sorted(counts)
+
+
 @pytest.mark.parametrize("n", [24, 40, 64], ids=["n24", "n40", "n64"])
 @pytest.mark.parametrize("q", [2, 3, 2**20], ids=["q2", "q3", "q2^20"])
 def test_consecutive_necklaces_have_consecutive_ranks(n, q):

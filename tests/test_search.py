@@ -15,7 +15,7 @@ import pytest
 from hypothesis import strategies as st
 
 from necklaces import bch, counting, gf, indexing
-from necklaces.oracle import closed_form_counts
+from necklaces.oracle import brute_orbits, closed_form_counts
 from necklaces.words import NkString
 
 
@@ -378,3 +378,62 @@ def test_search_contract_on_shaped_counts(counts, data):
         assert indexing._search(n, q, j, below, total, first) == want, (n, q, j, first)
         assert probes <= budget(n, q), (n, q, j, first, probes)
     assert heads <= math.ceil(math.log2(q)) + 3, (n, q, j, heads)
+
+
+@st.composite
+def _necklace_weights(draw):
+    """(n, q, weights, cum): weights from 0 to 3 on the necklaces only.
+
+    weights maps each necklace's digits to its weight, and cum[x] sums them
+    over the necklaces below x, as a count with a `weight` does.  A drawn
+    share of the necklaces weighs 0, so some counts are flat across whole
+    first-digit buckets.
+    """
+    q = draw(st.integers(3, 16), label="q")
+    n_max = max(n for n in range(1, 13) if q**n <= 4096)
+    n = draw(st.integers(1, n_max), label="n")
+    empty = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99]), label="empty")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    reps = [rep for rep, _ in brute_orbits(n, q)]
+    weights = {rep.digits: rng.randint(0, 3) if rng.random() >= empty else 0 for rep in reps}
+    if not any(weights.values()):
+        weights[rng.choice(reps).digits] = rng.randint(1, 3)
+    cum = [0]
+    for x in range(q**n):
+        cum.append(cum[-1] + weights.get(NkString.from_int(n, q, x).digits, 0))
+    return n, q, weights, cum
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_necklace_weights(), st.data())
+def test_search_contract_with_a_weight(counts, data):
+    """With a head and a weight the word phase skips words with a digit below the first.
+
+    Against bisection over every word, at the first and last ranks and one
+    drawn between them.
+    """
+    n, q, weights, cum = counts
+    total = cum[-1]
+    heads = 0
+
+    def head(d):
+        nonlocal heads
+        heads += 1
+        return cum[d * q ** (n - 1)]
+
+    def weight(a, p):
+        return weights[tuple(a)]
+
+    for j in sorted({1, total, data.draw(st.integers(1, total), label="j")}):
+        want = bisect(n, q, j, lambda x: cum[x.to_int()])
+        probes = heads = 0
+
+        def below(x):
+            nonlocal probes
+            probes += 1
+            return cum[x.to_int()]
+
+        got = indexing._search(n, q, j, below, total, head, weight)
+        assert got == (want, cum[want.to_int()]), (n, q, j)
+        assert probes <= budget(n, q), (n, q, j, probes)
+        assert heads <= math.ceil(math.log2(q)) + 3, (n, q, j, heads)
