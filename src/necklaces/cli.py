@@ -247,6 +247,24 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code; argparse exits by itself on --help and usage errors.
+
+    CPython refuses int <-> str conversions past `sys.get_int_max_str_digits()`
+    digits (4,300 by default) where that function exists.  A well-formed
+    count or rank can be longer, so the limit is lifted for the call and
+    restored after it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv):
     args = build_parser().parse_args(argv)
     try:
         inputs, result = args.handler(args)

@@ -56,7 +56,9 @@ The ceiling side does not depend on x: `_ceiling_side` builds it once per
 (c, q), as b, the least prenecklace >= c', its period and
 q^n - count_below(b), in a bounded memo, so the probes of a row search, all
 under one ceiling, share one table, and `count_within_ceiling`, which
-`bch.generator_row_count` reads, is the same entry.  `_count_inside` counts
+`bch.generator_row_count` reads, is the same entry.  A row search's head
+(`bch._row_head`) reads `count_within_ceiling` too, under shifted ceilings
+on fewer letters, one entry each.  `_count_inside` counts
 V by closed walks on two KMP paths at once:
 
   6. By step 1 on each side, V counts the words with no rotation below a,

@@ -440,6 +440,17 @@ def _repunit(k, w):
     return ((1 << k * w) - 1) // ((1 << w) - 1)
 
 
+def _takes_straus(q, n, e):
+    """Straus against binary powering for x^k in F_{q^n}, q = p^e (module docstring).
+
+    Straus when 2^n + n + 2 bits(q-1) - 4 + 4/e < 1.5 bits(q^n - 1), the
+    rule multiplied through by 2e and kept in ints: no degree overflows a
+    float.
+    """
+    b = (q - 1).bit_length()
+    return n > 1 and 2 * e * (2**n + n + 2 * b - 4) + 8 < 3 * e * (q**n - 1).bit_length()
+
+
 class _Packed:
     """Ring arithmetic in F_p[u, T]/(g(u), F(T)), one Python int per element.
 
@@ -513,9 +524,8 @@ class _Packed:
         self._neg_F = self.neg(f - (1 << self._th_shift))
         self.t = self._neg_F if n == 1 else 1 << self._rowbits  # T = -F_0 when n = 1
         self._frob = None
-        self._size = self.q**n  # Straus against binary powering, in multiplies (module docstring)
-        b = (self.q - 1).bit_length()
-        self._straus = n > 1 and 2**n + n + 2 * b - 4 + 4 / e < 1.5 * (self._size - 1).bit_length()
+        self._size = self.q**n
+        self._straus = _takes_straus(self.q, n, e)
 
         # A wrong mul or quotient fails here, not after a search that runs to
         # its bound.  Each remainder has degree below its divisor's, and

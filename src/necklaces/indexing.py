@@ -24,9 +24,12 @@ y = 0, the word d^n, has the count of (d, 0, ..., 0), and the bracket's top
 (q - d)^(n-1) stands for (d + 1, 0, ..., 0).  In base q the count is flat
 wherever a later digit is below d, which interpolation does not know: a
 probe that gains a whole digit is followed by one that gains about d/q of
-one.  The floor holds only for a count of necklaces, which is what a
-`weight` says; a search with a head and no weight keeps radix q.  At q = 2
-the map is the identity: d = 0, or d = 1 and one word.
+one.  The floor holds for any count that sums a weight over necklaces, and
+a search with a head promises one: the necklace counts of an unrank, and
+`bch.generator_row`'s rows, which weigh a necklace by its period, or 0 if
+its orbit leaves the ceiling.  So the floor follows the head, and a
+`weight`, which lets the search close with a walk, follows only the walk.
+At q = 2 the map is the identity: d = 0, or d = 1 and one word.
 
 Over a whole range [0, X] the counts are strongly concave.  A word's least
 rotation lies below t * q^n unless all n of its rotations lie above, and
@@ -39,7 +42,7 @@ on such a count and spends the two probes of slack, after which the
 projection window admits only midpoints, to the end of the budget.  So a
 phase whose bracket starts as the whole range of its variable (the first
 digit over [0, q]; the words over [0, q^n] when there is no head, as for
-`bch.generator_row`) takes its false-position point in
+`bch.generator_row` at q = 2) takes its false-position point in
 s = 1 - (1 - x/X)^n and maps it back to x.  The words inside one
 first-digit bucket do not follow that shape, so the phase after a head
 stays linear.
@@ -201,22 +204,22 @@ def _search(n, q, j, below, total, head=None, weight=None):
     The contract: `below` is nondecreasing in the word, below(0^n) = 0,
     `total` is below at the virtual word q^n past the last one, and
     1 <= j <= total.  `head`, if given, is the closed form
-    d -> below((d, 0, ..., 0)) for 0 <= d <= q, with head(q) = total.
-    `weight`, if given, says that below(x) is the sum of weight(digits,
-    period) over the necklaces strictly below x, each given as its digit
-    list and the period of its least rotation.
-    `bch.generator_row` passes none: necklaces whose orbit leaves its
-    ceiling weigh 0 there, so a walk over them would have no bound in n.
+    d -> below((d, 0, ..., 0)) for 0 <= d <= q, with head(q) = total, and
+    it promises that below(x) sums a nonnegative weight over the necklaces
+    strictly below x.  `weight`, if given, is that weight, weight(digits,
+    period) for a necklace given as its digit list and the period of its
+    least rotation.  `bch.generator_row` passes a head and no weight:
+    necklaces whose orbit leaves its ceiling weigh 0 there, so a walk over
+    them would have no bound in n.  At q = 2 it passes neither (its
+    docstring gives the reason).
 
     `_narrow` runs over the digits [0, q] when there is a head, with budget
     ceil(log2 q) + 2 (so at most that many head evaluations), then
-    over the words, with budget n * ceil(log2 q) + 2.  With a head and a
-    weight the word phase after the first digit d runs over the words with
-    no digit below d, in radix q - d (module docstring): the weight says
-    that only necklaces count, and a necklace has no digit below its first.
-    Without a weight it keeps radix q.  `bch.generator_row` passes no head:
-    its bracket spans every first digit until the probes close in, so no
-    one d bounds the digits it searches.
+    over the words, with budget n * ceil(log2 q) + 2.  With a head the
+    word phase after the first digit d runs over the words with no digit
+    below d, in radix q - d (module docstring): only necklaces count, and a
+    necklace has no digit below its first.  The floor follows the head; the
+    weight switches on only the closing walk.
     The digit phase, and the word phase when there is no head, interpolate
     in the model s = 1 - (1 - x/X)^n (module docstring).  The word phase
     after a head interpolates in x: inside one first-digit bucket the model
@@ -234,12 +237,8 @@ def _search(n, q, j, below, total, head=None, weight=None):
     bits = (q - 1).bit_length()
     lo, hi, below_lo, below_hi, floor = 0, q**n, 0, total, 0
     if head is not None:
-        first, _, below_lo, below_hi = _narrow(q, j, head, 0, q, 0, total, bits + 2, power=n)
-        if weight is not None:
-            floor = first
-        size = (q - floor) ** (n - 1)
-        lo = (first - floor) * size
-        hi = lo + size
+        floor, _, below_lo, below_hi = _narrow(q, j, head, 0, q, 0, total, bits + 2, power=n)
+        hi = (q - floor) ** (n - 1)
     lo, hi, below_lo, below_hi = _narrow(
         q, j, lambda x: below(_word(n, q, floor, x)), lo, hi, below_lo, below_hi,
         n * bits + 2, stop=n if weight is not None else 0, power=n if head is None else 0)

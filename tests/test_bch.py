@@ -1,6 +1,9 @@
+from functools import lru_cache
 from itertools import combinations
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from conftest import assert_reduced_echelon, packed_span, primitive_field
 from necklaces import bch, counting, gf
@@ -78,6 +81,40 @@ def test_rows_match_brute_on_larger_fields():
             )
             for r in sample:
                 assert bch.parity_row(params, r) == orbits[r - 1]
+
+
+@lru_cache(maxsize=None)
+def _row_field(q, n):
+    return primitive_field(q, n)
+
+
+_ROW_FIELDS = [(3, 2), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3), (7, 3), (9, 2), (9, 3), (16, 2),
+               (16, 3)]
+
+
+@st.composite
+def _row_params(draw):
+    """(q, n, d): d over the whole range, its ends, or the top q^(n-1) values as on the bench.
+
+    The top values have first digit q - 1 and any later digits, so their
+    ceilings often have a digit below the head's first digit.
+    """
+    q, n = draw(st.sampled_from(_ROW_FIELDS), label="field")
+    top = q**n - 2
+    d = draw(st.one_of(st.sampled_from([0, 1, top]), st.integers(0, top),
+                       st.integers(top + 2 - q ** (n - 1), top)), label="d")
+    return q, n, d
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@hypothesis.given(_row_params())
+def test_generator_rows_match_brute_at_large_alphabets(params):
+    """Every row of every drawn (q, d), q > 2: the searches take the head and the digit floor."""
+    q, n, d = params
+    params = bch.BchParams(_row_field(q, n), d)
+    rows, count = bch.brute_generator_rows(params)
+    assert bch.generator_row_count(params) == count
+    assert [bch.generator_row(params, r) for r in range(1, count + 1)] == rows, (q, n, d)
 
 
 def test_orbit_set_invariant(f8):

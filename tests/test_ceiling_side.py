@@ -2,8 +2,10 @@
 
 A generator row search probes many thresholds under one ceiling, and the
 ceiling side of every probe, with the row total, comes from one memo entry
-(`engine._ceiling_side`).  A parity row is searched first and checked after,
-so the row count's table at word(d + 1) is built only past the last row.
+(`engine._ceiling_side`).  Each head evaluation adds one table, on a
+smaller alphabet under its shifted ceiling.  A parity row is searched first
+and checked after, so the row count's table at word(d + 1) is built only
+past the last row.
 """
 
 import random
@@ -18,24 +20,28 @@ from necklaces.words import NkString, complement, prenecklace_at_least
 
 
 def _tables(monkeypatch):
-    """The prenecklaces that `engine.count_below_by_period` builds tables for, as tuples."""
+    """(prenecklace, alphabet) for each table `engine.count_below_by_period` builds."""
     table, built = engine.count_below_by_period, []
 
-    def recording(a, *args):
-        built.append(tuple(a))
-        return table(a, *args)
+    def recording(a, p, q, periods):
+        built.append((tuple(a), q))
+        return table(a, p, q, periods)
 
     monkeypatch.setattr(engine, "count_below_by_period", recording)
     return built
 
 
 @pytest.mark.parametrize("q, n", [(4, 6), (2**16, 3)])
-def test_generator_entry_builds_one_table(q, n, monkeypatch):
+def test_generator_entry_builds_one_table_per_ceiling(q, n, monkeypatch):
+    """The row's ceiling first, then one per head evaluation whose shifted ceiling has a word."""
     fctx = primitive_field(q, n)
     built = _tables(monkeypatch)
     count, probes = engine.count_below_with_ceiling, []
     monkeypatch.setattr(engine, "count_below_with_ceiling",
                         lambda *args: probes.append(args) or count(*args))
+    within, ceilings = engine.count_within_ceiling, []
+    monkeypatch.setattr(engine, "count_within_ceiling",
+                        lambda c, k: ceilings.append((tuple(c), k)) or within(c, k))
     rng = random.Random(q + n)
     for _ in range(3):
         params = bch.BchParams(fctx, rng.randint(q**n - q**(n - 1), q**n - 2))
@@ -43,9 +49,14 @@ def test_generator_entry_builds_one_table(q, n, monkeypatch):
         counting.clear_caches()
         built.clear()
         probes.clear()
+        ceilings.clear()
         bch.generator_entry(params, r, fctx.element_from_int(rng.randrange(q**n)))
         flipped = complement(NkString.from_int(n, q, params.d)).digits
-        assert built == [tuple(prenecklace_at_least(flipped)[0])], (params.d, r)
+        heads = [(tuple(prenecklace_at_least([k - 1 - c for c in shifted])[0]), k)
+                 for shifted, k in dict.fromkeys(ceilings[1:])]
+        assert ceilings[0] == (NkString.from_int(n, q, params.d).digits, q)
+        assert built == [(tuple(prenecklace_at_least(flipped)[0]), q)] + heads, (params.d, r)
+        assert all(k < q for _, k in heads) and len(heads) <= 3, (params.d, r)
         assert len(probes) >= 3, (params.d, r)
 
 

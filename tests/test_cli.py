@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -235,3 +236,25 @@ def test_subcommands_import_only_what_they_run(argv, unloaded):
 def test_module_entry_passes_stdout_and_exit_status(advice, command, code, out):
     proc = python("-m", "necklaces.cli", *split(command, advice))
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+# Advice from `irred gen-advice 2 6 --seed 1` and `irred gen-advice 2^2 3 --seed 1`.
+MATRIX_ADVICE = {
+    (2, 6): "2 1\n6\n1 1 0 1 1 0 1\nfactors 3 3 7\n",
+    (4, 3): "2 2\n1 1 1\n3\n1,1 0,1 1,0 1,0\nfactors 3 3 7\n",
+}
+
+
+@pytest.mark.parametrize("q, n, d, matrix, digest", [
+    (2, 6, 50, "gen-matrix", "979242cbc19251296370d7008665ad3839c3d2aa7ac08576c824c03ca03c3e54"),
+    (2, 6, 50, "pc-matrix", "65b1ca69fc9277c189180d7709f6b10d39a551078d062e41a6cab4abddcb14b9"),
+    (4, 3, 40, "gen-matrix", "15c9cc4828570291fb532f2a0d4872be05cdd4a849de3eed75c660cf82ed40ad"),
+    (4, 3, 40, "pc-matrix", "82c1ac372f45fa1377415a82a76440fd370764124f24775e0c93461f3a54773d"),
+], ids=["gen-2-6-50", "pc-2-6-50", "gen-4-3-40", "pc-4-3-40"])
+def test_golden_matrices(capsys, tmp_path, q, n, d, matrix, digest):
+    """Whole matrices pinned by the sha256 of their text stdout: every row search and entry."""
+    path = tmp_path / "advice"
+    path.write_text(MATRIX_ADVICE[q, n], encoding="ascii")
+    code, out, err = run(capsys, "bch", matrix, "--advice", str(path), "--d", str(d))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
