@@ -276,6 +276,7 @@ def selftest(max_n_binary=8):
                 count += 1
         good &= topheavy.count_top_heavy(n) == count
         good &= count == counting.count_necklaces(n, 2)
+    good &= topheavy.count_top_heavy(73) == counting.count_necklaces(73, 2)  # bench-sized, past enumeration
     check("top-heavy counts match necklace totals", good)
 
     # spot equivalence: engine membership semantics vs definitional check

