@@ -129,6 +129,10 @@ def generator_row(params, r):
     s = 1 - (1 - x/q^n)^n, close to the share of rows below x when d is
     near q^n.  At q > 2 the head halves the two-sided probes at (2^16, 3)
     and (2^16, 4): 8.72 -> 4.11 and 10.89 -> 5.01 per search.
+
+    The search gets no run closed form, so it keeps the digit floor: an
+    unrank's run head counts the orbits with short runs over all words,
+    and the rows under a ceiling have no such count.
     """
     ctx = params.ctx
     q = ctx.q

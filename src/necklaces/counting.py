@@ -20,8 +20,11 @@ d | n, and each orbit count reads it once.  Over all k^n words the orbits
 are one divisor sum (1/n) sum_{d | n} c_d k^d, with c_d = phi(n/d) for
 necklaces (Burnside's lemma) and mu(n/d) for Lyndon words (Witt's formula):
 count_necklaces and count_lyndon return it, so the engine counts only below
-thresholds that a query asks about.  Bounded caches keep the divisors and
-weights per n, the counts per threshold.
+thresholds that a query asks about.  The same sums over a transfer-matrix
+trace count the orbits whose cyclic runs of one letter are at most r
+(`_run_table`), which pins an unrank's first run in closed form.  Bounded
+caches keep the divisors and weights per n, the counts per threshold and
+the run tables per (n, letters, r).
 
 The paper's read-once branching programs over the binary expansion of the
 alphabet count the same p = n quantity; they are materialized only as a
@@ -89,6 +92,48 @@ def orbits_in_closed_form(n, k, lyndon=False):
     if lyndon:
         return sum(mu * k ** ds[i] for i, mu in terms[n]) // n
     return sum(phi * k**d for d, phi in zip(ds, phis)) // n
+
+
+@lru_cache(maxsize=256)
+def _run_table(n, m, r):
+    """(sums, necklaces, lyndon) over m letters with no cyclic run of letter 0 longer than r.
+
+    0 <= r < n.  B_t counts the words of length t with no run of 0 longer
+    than r: all zeros if t <= r, or i <= r zeros, a nonzero letter and any
+    such word of length t - 1 - i, so
+    B_t = [t <= r] + (m - 1) * sum_{i <= min(r, t - 1)} B_{t-1-i}, a linear
+    recurrence of order r + 1 past t = r + 1.  `sums` holds the prefix sums
+    P_t = B_0 + ... + B_t for t < n, after r + 2 zeros that stand for
+    P_t at t < 0: sums[t + r + 2] = P_t.
+
+    The cyclic words of length e | n that repeat to such a word of length n
+    number T(e) = sum_{s <= min(r, e - 1)} (s + 1) * (m - 1) * A_{e-1-s},
+    with A_0 = 1 and A_t = (m - 1) * B_{t-1} (the words of length t that
+    end in a nonzero letter): s zeros wrap around the end, in s + 1
+    splits, then a nonzero letter starts the rest.  The transfer matrix
+    over the run length has trace T(e) (Stanley, Enumerative Combinatorics
+    I, 4.7).  The orbits are the Burnside and Witt sums over it,
+    (1/n) sum_{e | n} c(n/e) T(e), c = phi for necklaces and mu for Lyndon
+    words.  0^n is in neither, since r < n; r = 0 gives the orbits over the
+    m - 1 nonzero letters.
+    """
+    k = m - 1
+    sums, window = [0] * (r + 2) + [1], 1  # window: B_{t-1-r} + ... + B_{t-1}
+    for t in range(1, n):
+        b = (t <= r) + k * window
+        window += b - sums[t + 1] + sums[t]  # drop B_{t-1-r}
+        sums.append(sums[-1] + b)
+
+    def cyclic(e):
+        ends = e if e <= r + 1 else 0  # s = e - 1: A_0 = 1
+        inner = sum((s + 1) * (sums[e + r - s] - sums[e + r - s - 1])
+                    for s in range(min(r + 1, e - 1)))
+        return k * (ends + k * inner)
+
+    ds, terms, phis = _divisor_table(n)
+    traces = [cyclic(e) for e in ds]
+    return (tuple(sums), sum(phi * t for phi, t in zip(phis, traces)) // n,
+            sum(mu * traces[i] for i, mu in terms[n]) // n)
 
 
 @lru_cache(maxsize=256)
@@ -166,5 +211,5 @@ def count_words_below_with_ceiling(x, ceiling):
 
 
 def clear_caches():
-    for cache in (_count_dividing_cached, _divisor_table, engine._ceiling_side):
+    for cache in (_count_dividing_cached, _run_table, _divisor_table, engine._ceiling_side):
         cache.cache_clear()

@@ -5,7 +5,8 @@ searches the words, read as integers in [0, q^n), for the largest one with
 fewer than j orbits strictly below it, which is exactly the j-th minimal
 representative.  One safeguarded interpolation loop, never more than two
 probes beyond bisection, runs at two scales: over the first digit on the
-closed-form orbit count, then over the words on the counted orbits.  The
+closed-form orbit count, then over the words on the counted orbits; an
+unrank takes a closed-form step over the first run between them.  The
 head, the count below (d, 0, ..., 0), is built from the closed-form total: the
 orbits not below it are those over the q - d letters {d, ..., q-1}.  Once
 at most n orbits remain in the bracket it steps through them with the FKM
@@ -31,6 +32,29 @@ its orbit leaves the ceiling.  So the floor follows the head, and a
 `weight`, which lets the search close with a walk, follows only the walk.
 At q = 2 the map is the identity: d = 0, or d = 1 and one word.
 
+The same holds for runs (the run floor): a necklace whose least rotation
+starts d^r e, e > d, has no run of d longer than r, cyclically, since a
+longer one would start a smaller rotation, d^(r+1) < d^r e.  So an
+unrank's bucket splits by r, the first run of d.  The necklaces not below
+d^r (d + 1) d^(n-r-1) are the orbits over {d, ..., q-1} whose cyclic runs
+of d are all at most r, which `counting._run_table` counts in closed form
+(r = n would give the head at d, and r = 0 the head at d + 1).  The run
+head finds the least r whose count is below j, trying r = 1 first: a
+necklace's first run is its longest.  The word phase then searches only
+the words d^r e w', e > d and w' with no run of d longer than r
+(`_run_map`); the words it skips hold a longer run or a digit below d and
+leave the count flat.  The counts carry over as for the digit floor: no
+necklace lies between d^r (d + 1) d^(n-r-1) and the first such word, nor
+between the last one and d^(r-1) (d + 1) d^(n-r).  At q = 2 most words of
+a bucket hold a zero run longer than the necklace's first, and
+interpolation stalled on them: over 1,500 seeded (32, 2) necklace ranks
+the word probes went 12.66 -> 9.47 on average with the run floor, and to
+7.92 with `_narrow`'s weaker pull.  A word over the bucket's m = q - d
+letters holds about n / m^2 pairs dd, so past m^2 > 4n the floor removes
+few words and a first run longer than 1 is rare; the run phase is skipped
+there, since its fill and its slower map cost more than it saves (at
+(10, 2^26) it saved no probe and took about 25% longer).
+
 Over a whole range [0, X] the counts are strongly concave.  A word's least
 rotation lies below t * q^n unless all n of its rotations lie above, and
 were the rotations independent uniform words that would happen with
@@ -48,6 +72,7 @@ first-digit bucket do not follow that shape, so the phase after a head
 stays linear.
 """
 
+import functools
 import math
 
 from . import counting
@@ -107,18 +132,53 @@ def _word(n, q, floor, x):
     return NkString(n, q, tuple(digits))
 
 
-def _walk(n, q, lo, hi, target, weight, floor=0):
+def _run_map(n, q, d, r):
+    """(size, word): word maps [0, size) in order onto the words d^r e w'.
+
+    e runs over d + 1, ..., q - 1 and w' over the words of n - r - 1 digits
+    in {d, ..., q - 1} with no run of d longer than r: x is e's offset
+    times N plus w''s rank among the N such words.  w' is read digit by
+    digit off `counting._run_table(n, q - d, r)`'s prefix sums, with z the
+    run of d just written: with t digits left, G(t - 1, r - z - 1) words
+    go on with d and B_(t-1) with each letter above it, where
+    G(t, a) = [t <= a] + (q - d - 1) * (P_(t-1) - P_(t-2-a)) counts the
+    words of length t whose first run of d is at most a.  Raises
+    ValueError unless 0 <= x < size.
+    """
+    sums, k, rest = counting._run_table(n, q - d, r)[0], q - d - 1, n - r - 1
+    block, lead = sums[n + 1] - sums[n], [d] * r  # B_rest = P_rest - P_(rest-1)
+
+    def word(x):
+        e, x = divmod(x, block)
+        if not 0 <= e < k:
+            raise ValueError("value out of range for the run-bounded words")
+        digits, z = lead + [d + 1 + e], 0
+        for t in range(rest, 0, -1):
+            zeros = (t <= r - z) + k * (sums[t + r] - sums[t + z])
+            if x < zeros:
+                digits.append(d)
+                z += 1
+            else:
+                c, x = divmod(x - zeros, sums[t + r + 1] - sums[t + r])
+                digits.append(d + 1 + c)
+                z = 0
+        return NkString(n, q, tuple(digits))
+
+    return k * block, word
+
+
+def _walk(n, q, lo, hi, target, weight, word):
     """(x, passed): x the necklace in [lo, hi) where the weights summed from lo reach target.
 
-    lo and hi stand for words through `_word` with `floor`.  Steps through
-    the prenecklaces from the least one >= word(lo) with the FKM successor
-    and sums weight(digits, period) over the necklaces among them (period |
-    n); `passed` is that sum over the necklaces in [word(lo), x).  Raises
-    InvariantViolated if the sum has not reached target by word(hi - 1), or
-    the walk runs past the last prenecklace.
+    lo and hi stand for words through the search's map `word`.  Steps
+    through the prenecklaces from the least one >= word(lo) with the FKM
+    successor and sums weight(digits, period) over the necklaces among them
+    (period | n); `passed` is that sum over the necklaces in [word(lo), x).
+    Raises InvariantViolated if the sum has not reached target by
+    word(hi - 1), or the walk runs past the last prenecklace.
     """
-    a, p = prenecklace_at_least(_word(n, q, floor, lo).digits)
-    last = list(_word(n, q, floor, hi - 1).digits)
+    a, p = prenecklace_at_least(word(lo).digits)
+    last = list(word(hi - 1).digits)
     passed = 0
     while a <= last:
         if n % p == 0:
@@ -138,9 +198,17 @@ def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=0, power=0):
     `count` is nondecreasing, count(lo) < j <= count(hi) throughout, and
     hi - lo <= 2^(budget-2) on entry.  Each probe is the Illinois-weighted
     false-position point aimed at j - 1/2 (ITP: Oliveira & Takahashi, ACM
-    TOMS 2020), moved at most delta = width^2 / (q * starting width) toward
-    the midpoint and clamped into the projection window, which keeps the
-    bracket after probe k at most 2^(budget-k-1) wide: at most `budget` probes.
+    TOMS 2020), moved at most delta = width^2 / (4q * starting width)
+    toward the midpoint and clamped into the projection window, which keeps
+    the bracket after probe k at most 2^(budget-k-1) wide: at most `budget`
+    probes.  With a pull of width^2 / (q * starting width) every first word
+    probe at q = 2 was the midpoint, whatever the counts said: over 1,500
+    seeded (32, 2) necklace unranks the run floor's search took 9.47 word
+    probes with it and 7.92 with the pull of 4q.  Without the run floor the
+    weaker pull lost (12.66 -> 13.29): the stronger one guarded the flat
+    stretches that the floor now skips.  No pull at all did about as well
+    as 4q on average but lost the tail at q = 3 ((12, 3): p99 14 probes
+    against 11).
 
     With `power` = n > 0 the bracket must start as [0, X], the whole range
     of its variable, and while it is wider than X / 2^40 the false-position
@@ -150,7 +218,7 @@ def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=0, power=0):
     The Illinois weights, the delta pull and the window are the same either
     way, and so is the budget.
     """
-    spread = q * (hi - lo)
+    spread = 4 * q * (hi - lo)
     end = hi
     run = 0  # > 0: lo moved run times in a row; < 0: hi moved -run times
     while hi - lo > 1 and count_hi - count_lo > stop:
@@ -198,7 +266,7 @@ def _model_point(n, b, r, width):
     return width * int(y / b * (1 << 53)) >> 53
 
 
-def _search(n, q, j, below, total, head=None, weight=None):
+def _search(n, q, j, below, total, head=None, weight=None, runs=None):
     """(x, below(x)), x the largest word with below(x) < j: one safeguarded interpolation loop.
 
     The contract: `below` is nondecreasing in the word, below(0^n) = 0,
@@ -208,9 +276,12 @@ def _search(n, q, j, below, total, head=None, weight=None):
     it promises that below(x) sums a nonnegative weight over the necklaces
     strictly below x.  `weight`, if given, is that weight, weight(digits,
     period) for a necklace given as its digit list and the period of its
-    least rotation.  `bch.generator_row` passes a head and no weight:
-    necklaces whose orbit leaves its ceiling weigh 0 there, so a walk over
-    them would have no bound in n.  At q = 2 it passes neither (its
+    least rotation.  `runs`, if given with a head, is the closed form
+    (d, r) -> below(d^r (d + 1) d^(n-r-1)) for 0 <= d < q - 1 and
+    1 <= r < n.  An unrank passes all three.  `bch.generator_row` passes a
+    head and no weight: necklaces whose orbit leaves its ceiling weigh 0
+    there, so a walk over them would have no bound in n, and a count under
+    a ceiling has no closed form by runs.  At q = 2 it passes neither (its
     docstring gives the reason).
 
     `_narrow` runs over the digits [0, q] when there is a head, with budget
@@ -219,7 +290,14 @@ def _search(n, q, j, below, total, head=None, weight=None):
     word phase after the first digit d runs over the words with no digit
     below d, in radix q - d (module docstring): only necklaces count, and a
     necklace has no digit below its first.  The floor follows the head; the
-    weight switches on only the closing walk.
+    weight switches on only the closing walk.  With `runs` as well, and
+    (q - d)^2 <= 4n, the run head finds the least r with runs(d, r) < j by
+    evaluating r = 1, 2, 4, ... and bisecting the last step: one closed
+    form when r = 1, about 2 log2 r in general, and none at d = q - 1,
+    whose bucket is d^n alone.  (Stepping r up by one took (256, 2) from
+    8.7 to 31 ms at j = 1, where r = n.)  The word phase then runs over the
+    words d^r e w' of `_run_map`, the run floor (module docstring); if no
+    r < n has a count below j the answer is d^n.
     The digit phase, and the word phase when there is no head, interpolate
     in the model s = 1 - (1 - x/X)^n (module docstring).  The word phase
     after a head interpolates in x: inside one first-digit bucket the model
@@ -235,17 +313,38 @@ def _search(n, q, j, below, total, head=None, weight=None):
     walk passed before its answer otherwise.
     """
     bits = (q - 1).bit_length()
-    lo, hi, below_lo, below_hi, floor = 0, q**n, 0, total, 0
+    hi, below_lo, below_hi, floor = q**n, 0, total, 0
     if head is not None:
         floor, _, below_lo, below_hi = _narrow(q, j, head, 0, q, 0, total, bits + 2, power=n)
         hi = (q - floor) ** (n - 1)
+    word = functools.partial(_word, n, q, floor)
+    if runs is not None and (q - floor) ** 2 <= 4 * n:
+        # runs(floor, short) >= j > runs(floor, r); short = 0 stands for the
+        # head at floor + 1, and r = n for the head at floor.
+        short, r = (0, 1) if floor < q - 1 else (n - 1, n)
+        while r < n:
+            value = runs(floor, r)
+            if value < j:
+                below_lo = value
+                break
+            short, below_hi, r = r, value, min(2 * r, n)
+        while r - short > 1:
+            mid = (short + r) // 2
+            value = runs(floor, mid)
+            if value < j:
+                r, below_lo = mid, value
+            else:
+                short, below_hi = mid, value
+        if r == n:
+            return NkString(n, q, (floor,) * n), below_lo
+        hi, word = _run_map(n, q, floor, r)
     lo, hi, below_lo, below_hi = _narrow(
-        q, j, lambda x: below(_word(n, q, floor, x)), lo, hi, below_lo, below_hi,
+        q, j, lambda x: below(word(x)), 0, hi, below_lo, below_hi,
         n * bits + 2, stop=n if weight is not None else 0, power=n if head is None else 0)
     if hi - lo > 1:
-        word, passed = _walk(n, q, lo, hi, j - below_lo, weight, floor)
-        return word, below_lo + passed
-    return _word(n, q, floor, lo), below_lo
+        found, passed = _walk(n, q, lo, hi, j - below_lo, weight, word)
+        return found, below_lo + passed
+    return word(lo), below_lo
 
 
 def _unrank(n, q, j, lyndon):
@@ -256,9 +355,11 @@ def _unrank(n, q, j, lyndon):
     if j > total:
         return TOO_LARGE
     below = counting.count_lyndon_below if lyndon else counting.count_necklaces_below
+    kind = 2 if lyndon else 1
     return _search(n, q, j, below, total,
                    lambda d: total - counting.orbits_in_closed_form(n, q - d, lyndon),
-                   lambda a, p: not lyndon or p == n)[0]
+                   lambda a, p: not lyndon or p == n,
+                   lambda d, r: total - counting._run_table(n, q - d, r)[kind])[0]
 
 
 def index_necklace(n, q, j):

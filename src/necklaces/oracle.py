@@ -48,6 +48,17 @@ def brute_orbits(n, q):
     return [(NkString(n, q, d), _period(w)) for d, w in sorted(members.items())]
 
 
+def _longest_zero_run(digits):
+    """The longest cyclic run of 0 in digits, or len(digits) if every digit is 0."""
+    if not any(digits):
+        return len(digits)
+    best = run = 0
+    for d in digits + digits:
+        run = run + 1 if d == 0 else 0
+        best = max(best, run)
+    return best
+
+
 def brute_necklaces_below(x):
     """Number of orbits containing a word strictly below x."""
     return sum(1 for rep, _ in brute_orbits(x.n, x.q) if rep.digits < x.digits)
@@ -164,7 +175,7 @@ def selftest(max_n_binary=8):
         lines.append(f"{'PASS' if cond else 'FAIL'} {name}")
 
     # necklace/Lyndon bijections against enumerated orbits
-    for q, top in ((2, max_n_binary), (3, 4), (5, 4)):
+    for q, top in ((2, max_n_binary), (3, 4), (4, 3), (5, 4)):
         good = True
         for n in range(1, top + 1):
             reps = [rep for rep, _ in brute_orbits(n, q)]
@@ -179,6 +190,17 @@ def selftest(max_n_binary=8):
             for j, rep in enumerate(lyns, start=1):
                 good &= indexing.index_lyndon(n, q, j).digits == rep.digits
         check(f"necklace/lyndon bijection q={q} n<={top}", good)
+
+    # the closed forms by runs: orbits whose cyclic runs of 0 are at most r
+    for q, top in ((2, max_n_binary), (3, 4)):
+        good = True
+        for n in range(1, top + 1):
+            runs = [(_longest_zero_run(rep.digits), size) for rep, size in brute_orbits(n, q)]
+            for r in range(n):
+                _, necklaces, lyndon = counting._run_table(n, q, r)
+                good &= necklaces == sum(1 for run, _ in runs if run <= r)
+                good &= lyndon == sum(1 for run, size in runs if run <= r and size == n)
+        check(f"closed forms by runs vs brute force q={q} n<={top}", good)
 
     # counting identities on random thresholds
     rng = random.Random(20240815)

@@ -100,13 +100,15 @@ def test_tracer_counts_the_field_layer(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     base = gf.default_fq_ctx(2)
-    fctx = gf.find_primitive_polynomial(base, 6, gf.factorize(63), 1)
+    # At n = 6 every unrank closes on the run head's closed forms and a
+    # walk, with no one-sided count; index 17 at n = 8 takes one.
+    fctx = gf.find_primitive_polynomial(base, 8, gf.factorize(255), 1)
     original_mul, original_frobenius = gf.FqnCtx.__dict__["mul"], bch.frobenius
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        irreducible.index_irreducible(fctx, 5)
-        params = bch.BchParams(fctx, 50)
+        irreducible.index_irreducible(fctx, 17)
+        params = bch.BchParams(fctx, 200)
         bch.generator_entry(params, 3, fctx.element_from_int(9))
         bch.parity_entry(params, 3, fctx.element_from_int(9))
     finally:

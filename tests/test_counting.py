@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import pkgutil
 import random
 
@@ -13,7 +14,7 @@ from conftest import (
 import necklaces
 from necklaces import bch, counting, engine, indexing, programs
 from necklaces.errors import InvariantViolated, NotADivisor
-from necklaces.oracle import closed_form_counts
+from necklaces.oracle import _longest_zero_run, brute_orbits, closed_form_counts
 from necklaces.words import NkString, parse_word
 
 
@@ -223,7 +224,8 @@ def test_clear_caches_empties_every_package_memo():
     bch.generator_entry(params, 3, fctx.element_from_int(9))
     bch.parity_entry(params, 3, fctx.element_from_int(9))
     memos = _package_memos()
-    assert {"counting._count_dividing_cached", "engine._ceiling_side"} <= set(memos)
+    assert {"counting._count_dividing_cached", "counting._run_table",
+            "engine._ceiling_side"} <= set(memos)
     assert any(memo.cache_info().currsize for memo in memos.values())
     counting.clear_caches()
     left = {name: memo.cache_info().currsize for name, memo in memos.items()}
@@ -246,3 +248,29 @@ def test_two_sided_count():
                 and max_rotation(y)[0].digits <= cap.digits
             )
             assert got == want, (q, n, x.digits, cap.digits)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_run_table_counts_orbits_with_short_zero_runs(q):
+    """The closed forms by runs equal a count over the enumerated orbits, every r <= n.
+
+    r = n is every orbit, which `orbits_in_closed_form` gives; below n the
+    table's necklace and Lyndon counts, and its prefix sums of the linear
+    words with no zero run longer than r.
+    """
+    for n in range(1, 9):
+        runs = [(_longest_zero_run(rep.digits), size) for rep, size in brute_orbits(n, q)]
+        for r in range(n + 1):
+            want = (sum(1 for run, _ in runs if run <= r),
+                    sum(1 for run, size in runs if run <= r and size == n))
+            if r == n:
+                got = counting.orbits_in_closed_form(n, q), counting.orbits_in_closed_form(n, q, True)
+                assert got == want, (n, r)
+                continue
+            sums, necklaces, lyndon = counting._run_table(n, q, r)
+            assert (necklaces, lyndon) == want, (n, r)
+            if n <= 6:
+                for t in range(n):
+                    linear = sum(1 for w in itertools.product(range(q), repeat=t)
+                                 if _longest_zero_run(w + (1,)) <= r)
+                    assert sums[t + r + 2] - sums[t + r + 1] == linear, (n, r, t)
