@@ -118,17 +118,14 @@ def generator_row(params, r):
     word(d), and the search returns the rows below the orbit it ends on,
     so the row's position in its orbit is r minus them.
 
-    At q = 2 the search has no head.  The first digit is then always 0
-    and the floor is the identity, so the head saves no probe, and the
-    linear probes inside the bucket cost more per two-sided count than the
-    model's probes over [0, 2^n] (their words carry more ones).  Over 150
-    rows with d >= q^n - q^(n-1), 5 interleaved rounds in one process,
-    (2, 20) took 0.79-0.86 ms per search without a head against 0.87-0.95
-    ms with one (6.52 and 6.47 probes).  Without a head the word phase
-    starts on the whole range [0, q^n] and interpolates in
-    s = 1 - (1 - x/q^n)^n, close to the share of rows below x when d is
-    near q^n.  At q > 2 the head halves the two-sided probes at (2^16, 3)
-    and (2^16, 4): 8.72 -> 4.11 and 10.89 -> 5.01 per search.
+    The head serves q = 2 too, where its one evaluation, head(1), has
+    k = 1 letter and builds no table: against the search with no head and
+    the model over [0, 2^n] that it replaced, (2, 20) took 4.97 -> 4.91
+    probes and 0.70 ms per search either way over 150 rows drawn as the
+    field benchmark draws them, and 10.26 -> 11.33 probes and
+    1.01-1.04 -> 1.07-1.11 ms with d and r uniform.
+    At q > 2 the head halves the two-sided probes at (2^16, 3) and
+    (2^16, 4): 8.72 -> 4.11 and 10.89 -> 5.01 per search.
 
     The search gets no run closed form, so it keeps the digit floor: an
     unrank's run head counts the orbits with short runs over all words,
@@ -144,7 +141,7 @@ def generator_row(params, r):
     ceiling = _word(params, params.d).digits
     rep, below = indexing._search(
         ctx.n, q, r, lambda x: engine.count_below_with_ceiling(x.digits, ceiling, q), total,
-        _row_head(ceiling, q, total) if q > 2 else None)
+        _row_head(ceiling, q, total))
     orbit = _orbit(rep, "generator")
     if max_rotation(rep)[0].digits > ceiling:
         raise InvariantViolated("generator row orbit leaves {0, ..., d}")

@@ -6,12 +6,13 @@ fewer than j orbits strictly below it, which is exactly the j-th minimal
 representative.  One safeguarded interpolation loop, never more than two
 probes beyond bisection, runs at two scales: over the first digit on the
 closed-form orbit count, then over the words on the counted orbits; an
-unrank takes a closed-form step over the first run between them.  The
-head, the count below (d, 0, ..., 0), is built from the closed-form total: the
-orbits not below it are those over the q - d letters {d, ..., q-1}.  Once
-at most n orbits remain in the bracket it steps through them with the FKM
-successor (Ruskey, Savage and Wang, J. Algorithms 1992): n steps cost less
-than one probe, and the search would need about log2 n.
+unrank runs it once more between them, over the first run on its closed
+form.  The head, the count below (d, 0, ..., 0), is built from the
+closed-form total: the orbits not below it are those over the q - d
+letters {d, ..., q-1}.  Once at most n orbits remain in the bracket it
+steps through them with the FKM successor (Ruskey, Savage and Wang,
+J. Algorithms 1992): n steps cost less than one probe, and the search
+would need about log2 n.
 Ranking counts the orbits below the canonical rotation.  Ranks are 1-based.
 
 A necklace has no digit below its first one, d: a later, smaller digit
@@ -26,9 +27,9 @@ y = 0, the word d^n, has the count of (d, 0, ..., 0), and the bracket's top
 wherever a later digit is below d, which interpolation does not know: a
 probe that gains a whole digit is followed by one that gains about d/q of
 one.  The floor holds for any count that sums a weight over necklaces, and
-a search with a head promises one: the necklace counts of an unrank, and
+every search promises one: the necklace counts of an unrank, and
 `bch.generator_row`'s rows, which weigh a necklace by its period, or 0 if
-its orbit leaves the ceiling.  So the floor follows the head, and a
+its orbit leaves the ceiling.  So every search takes the floor, and a
 `weight`, which lets the search close with a walk, follows only the walk.
 At q = 2 the map is the identity: d = 0, or d = 1 and one word.
 
@@ -39,13 +40,13 @@ unrank's bucket splits by r, the first run of d.  The necklaces not below
 d^r (d + 1) d^(n-r-1) are the orbits over {d, ..., q-1} whose cyclic runs
 of d are all at most r, which `counting._run_table` counts in closed form
 (r = n would give the head at d, and r = 0 the head at d + 1).  The run
-head finds the least r whose count is below j, trying r = 1 first: a
-necklace's first run is its longest.  The word phase then searches only
-the words d^r e w', e > d and w' with no run of d longer than r
-(`_run_map`); the words it skips hold a longer run or a digit below d and
-leave the count flat.  The counts carry over as for the digit floor: no
-necklace lies between d^r (d + 1) d^(n-r-1) and the first such word, nor
-between the last one and d^(r-1) (d + 1) d^(n-r).  At q = 2 most words of
+head finds the least r whose count is below j with the same loop, over
+x = n - r in [0, n], on which the count rises.  The word phase then
+searches only the words d^r e w', e > d and w' with no run of d longer
+than r (`_run_map`); the words it skips hold a longer run or a digit
+below d and leave the count flat.  The counts carry over as for the digit
+floor: no necklace lies between d^r (d + 1) d^(n-r-1) and the first such
+word, nor between the last one and d^(r-1) (d + 1) d^(n-r).  At q = 2 most words of
 a bucket hold a zero run longer than the necklace's first, and
 interpolation stalled on them: over 1,500 seeded (32, 2) necklace ranks
 the word probes went 12.66 -> 9.47 on average with the run floor, and to
@@ -63,13 +64,12 @@ orbits below t * q^n is close to 1 - (1 - t)^n.  For the first digit it is
 exact up to periodic orbits: the words with no letter below d number
 (q - d)^n.  Plain false position aims its first probes far past the answer
 on such a count and spends the two probes of slack, after which the
-projection window admits only midpoints, to the end of the budget.  So a
-phase whose bracket starts as the whole range of its variable (the first
-digit over [0, q]; the words over [0, q^n] when there is no head, as for
-`bch.generator_row` at q = 2) takes its false-position point in
-s = 1 - (1 - x/X)^n and maps it back to x.  The words inside one
-first-digit bucket do not follow that shape, so the phase after a head
-stays linear.
+projection window admits only midpoints, to the end of the budget.  So the
+digit phase, whose bracket starts as the whole range [0, q] of the first
+digit, takes its false-position point in s = 1 - (1 - x/q)^n and maps it
+back to x; the model runs there only.  The words inside one first-digit
+bucket do not follow that shape, so the word phase stays linear, and so
+does the run head, whose count is a closed form over its bucket.
 """
 
 import functools
@@ -210,11 +210,12 @@ def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=0, power=0):
     as 4q on average but lost the tail at q = 3 ((12, 3): p99 14 probes
     against 11).
 
-    With `power` = n > 0 the bracket must start as [0, X], the whole range
-    of its variable, and while it is wider than X / 2^40 the false-position
-    point is taken in s = 1 - (1 - x/X)^n rather than in x (`_model_point`,
-    which turns only ratios into floats).  A narrower bracket has closed in
-    on the answer, where the count is locally linear, and interpolates in x.
+    `power` = n > 0 has one caller, `_search`'s digit phase, whose bracket
+    starts as [0, X], X = q, the whole range of its variable.  While the
+    bracket is wider than X / 2^40 the false-position point is taken in
+    s = 1 - (1 - x/X)^n rather than in x (`_model_point`, which turns only
+    ratios into floats).  A narrower bracket has closed in on the answer,
+    where the count is locally linear, and interpolates in x.
     The Illinois weights, the delta pull and the window are the same either
     way, and so is the budget.
     """
@@ -266,81 +267,61 @@ def _model_point(n, b, r, width):
     return width * int(y / b * (1 << 53)) >> 53
 
 
-def _search(n, q, j, below, total, head=None, weight=None, runs=None):
+def _search(n, q, j, below, total, head, weight=None, runs=None):
     """(x, below(x)), x the largest word with below(x) < j: one safeguarded interpolation loop.
 
     The contract: `below` is nondecreasing in the word, below(0^n) = 0,
     `total` is below at the virtual word q^n past the last one, and
-    1 <= j <= total.  `head`, if given, is the closed form
-    d -> below((d, 0, ..., 0)) for 0 <= d <= q, with head(q) = total, and
-    it promises that below(x) sums a nonnegative weight over the necklaces
-    strictly below x.  `weight`, if given, is that weight, weight(digits,
-    period) for a necklace given as its digit list and the period of its
-    least rotation.  `runs`, if given with a head, is the closed form
-    (d, r) -> below(d^r (d + 1) d^(n-r-1)) for 0 <= d < q - 1 and
-    1 <= r < n.  An unrank passes all three.  `bch.generator_row` passes a
-    head and no weight: necklaces whose orbit leaves its ceiling weigh 0
-    there, so a walk over them would have no bound in n, and a count under
-    a ceiling has no closed form by runs.  At q = 2 it passes neither (its
-    docstring gives the reason).
+    1 <= j <= total.  `head` is the closed form d -> below((d, 0, ..., 0))
+    for 0 <= d <= q, with head(q) = total, and it promises that below(x)
+    sums a nonnegative weight over the necklaces strictly below x.
+    `weight`, if given, is that weight, weight(digits, period) for a
+    necklace given as its digit list and the period of its least rotation.
+    `runs`, if given, is the closed form (d, r) -> below(d^r (d + 1)
+    d^(n-r-1)) for 0 <= d < q - 1 and 1 <= r < n.  An unrank passes all
+    three.  `bch.generator_row` passes a head alone: necklaces whose orbit
+    leaves its ceiling weigh 0 there, so a walk over them would have no
+    bound in n, and a count under a ceiling has no closed form by runs.
 
-    `_narrow` runs over the digits [0, q] when there is a head, with budget
-    ceil(log2 q) + 2 (so at most that many head evaluations), then
-    over the words, with budget n * ceil(log2 q) + 2.  With a head the
-    word phase after the first digit d runs over the words with no digit
-    below d, in radix q - d (module docstring): only necklaces count, and a
-    necklace has no digit below its first.  The floor follows the head; the
-    weight switches on only the closing walk.  With `runs` as well, and
-    (q - d)^2 <= 4n, the run head finds the least r with runs(d, r) < j by
-    evaluating r = 1, 2, 4, ... and bisecting the last step: one closed
-    form when r = 1, about 2 log2 r in general, and none at d = q - 1,
-    whose bucket is d^n alone.  (Stepping r up by one took (256, 2) from
-    8.7 to 31 ms at j = 1, where r = n.)  The word phase then runs over the
-    words d^r e w' of `_run_map`, the run floor (module docstring); if no
-    r < n has a count below j the answer is d^n.
-    The digit phase, and the word phase when there is no head, interpolate
-    in the model s = 1 - (1 - x/X)^n (module docstring).  The word phase
-    after a head interpolates in x: inside one first-digit bucket the model
-    did not pay (over 202 seeded necklace ranks at (10, 2^26), 10.96 word
-    probes per search plain in radix q - d, 22.57 with the model over the
-    bucket, and 21.55 plain in radix q).  With a weight it stops once
-    below_hi - below_lo <= n and walks from lo to the necklace at which the
-    weights reach j - below_lo: n successor steps cost less than one probe,
-    and the search would need about log2 n more.
+    `_narrow` runs over the digits [0, q] with budget ceil(log2 q) + 2 (so
+    at most that many head evaluations), then over the words with budget
+    n * ceil(log2 q) + 2.  The word phase after the first digit d runs over
+    the words with no digit below d, in radix q - d (module docstring):
+    only necklaces count, and a necklace has no digit below its first.
+    At d = q - 1 that is d^n alone, and no word is probed.  With `runs`,
+    d < q - 1 and (q - d)^2 <= 4n, the run head narrows x = n - r over
+    [0, n], from the head at d (x = 0) to the head at d + 1 (x = n), with
+    budget n.bit_length() + 2, to the least r with runs(d, r) < j; x = 0
+    answers d^n.  At (256, 2) and j = 1, where r = n, it takes 2 closed
+    forms and 0.4 ms with cold memos, against 15 and 1.8 ms for the
+    doubling-then-bisection it replaced.  The word phase then runs over the
+    words d^r e w' of `_run_map`, the run floor (module docstring).
+    The digit phase interpolates in the model s = 1 - (1 - x/q)^n (module
+    docstring), the word phase in x: inside one first-digit bucket the
+    model did not pay (over 202 seeded necklace ranks at (10, 2^26), 10.96
+    word probes per search plain in radix q - d, 22.57 with the model over
+    the bucket, and 21.55 plain in radix q).  A weight switches on only
+    the closing walk: the word phase stops once below_hi - below_lo <= n
+    and walks from lo to the necklace at which the weights reach
+    j - below_lo.  n successor steps cost less than one probe, and the
+    search would need about log2 n more.
 
     The count comes with the word at no cost: it is below_lo when the
     probes close the bracket on lo, and below_lo plus the weight that the
     walk passed before its answer otherwise.
     """
     bits = (q - 1).bit_length()
-    hi, below_lo, below_hi, floor = q**n, 0, total, 0
-    if head is not None:
-        floor, _, below_lo, below_hi = _narrow(q, j, head, 0, q, 0, total, bits + 2, power=n)
-        hi = (q - floor) ** (n - 1)
-    word = functools.partial(_word, n, q, floor)
-    if runs is not None and (q - floor) ** 2 <= 4 * n:
-        # runs(floor, short) >= j > runs(floor, r); short = 0 stands for the
-        # head at floor + 1, and r = n for the head at floor.
-        short, r = (0, 1) if floor < q - 1 else (n - 1, n)
-        while r < n:
-            value = runs(floor, r)
-            if value < j:
-                below_lo = value
-                break
-            short, below_hi, r = r, value, min(2 * r, n)
-        while r - short > 1:
-            mid = (short + r) // 2
-            value = runs(floor, mid)
-            if value < j:
-                r, below_lo = mid, value
-            else:
-                short, below_hi = mid, value
-        if r == n:
+    floor, _, below_lo, below_hi = _narrow(q, j, head, 0, q, 0, total, bits + 2, power=n)
+    hi, word = (q - floor) ** (n - 1), functools.partial(_word, n, q, floor)
+    if runs is not None and floor < q - 1 and (q - floor) ** 2 <= 4 * n:
+        x, _, below_lo, below_hi = _narrow(q - floor, j, lambda x: runs(floor, n - x), 0, n,
+                                           below_lo, below_hi, n.bit_length() + 2)
+        if x == 0:
             return NkString(n, q, (floor,) * n), below_lo
-        hi, word = _run_map(n, q, floor, r)
+        hi, word = _run_map(n, q, floor, n - x)
     lo, hi, below_lo, below_hi = _narrow(
         q, j, lambda x: below(word(x)), 0, hi, below_lo, below_hi,
-        n * bits + 2, stop=n if weight is not None else 0, power=n if head is None else 0)
+        n * bits + 2, stop=n if weight is not None else 0)
     if hi - lo > 1:
         found, passed = _walk(n, q, lo, hi, j - below_lo, weight, word)
         return found, below_lo + passed

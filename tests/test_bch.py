@@ -88,8 +88,8 @@ def _row_field(q, n):
     return primitive_field(q, n)
 
 
-_ROW_FIELDS = [(3, 2), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3), (7, 3), (9, 2), (9, 3), (16, 2),
-               (16, 3)]
+_ROW_FIELDS = [(2, 5), (2, 8), (3, 2), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3), (7, 3), (9, 2),
+               (9, 3), (16, 2), (16, 3)]
 
 
 @st.composite
@@ -109,7 +109,7 @@ def _row_params(draw):
 @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @hypothesis.given(_row_params())
 def test_generator_rows_match_brute_at_large_alphabets(params):
-    """Every row of every drawn (q, d), q > 2: the searches take the head and the digit floor."""
+    """Every row of every drawn (q, d): each search takes the head and the floor, q = 2 too."""
     q, n, d = params
     params = bch.BchParams(_row_field(q, n), d)
     rows, count = bch.brute_generator_rows(params)

@@ -31,9 +31,13 @@ def _tables(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("q, n", [(4, 6), (2**16, 3)])
+@pytest.mark.parametrize("q, n", [(2, 20), (4, 6), (2**16, 3)])
 def test_generator_entry_builds_one_table_per_ceiling(q, n, monkeypatch):
-    """The row's ceiling first, then one per head evaluation whose shifted ceiling has a word."""
+    """The row's ceiling first, then one per head evaluation whose shifted ceiling has a word.
+
+    At q = 2 that is the ceiling's alone: the head's one probe, at digit 1,
+    has k = 1 letter and no shifted ceiling.
+    """
     fctx = primitive_field(q, n)
     built = _tables(monkeypatch)
     count, probes = engine.count_below_with_ceiling, []

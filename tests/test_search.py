@@ -5,9 +5,9 @@ that takes too many two-sided counts, against its answer's successor), and
 its probes against the budget n * ceil(log2 q) + 2.  The closed form that
 pins the first digit is checked against the engine and against the oracle.
 `hypothesis` properties drive the search with synthetic counts,
-derandomized so the suite gives the same result on every run; a search
-with a head gets counts that sum a weight over necklaces, as its contract
-asks.
+derandomized so the suite gives the same result on every run; every
+search takes a head, so the counts sum a weight over necklaces, as its
+contract asks.
 """
 
 import math
@@ -212,7 +212,7 @@ def _on_necklaces(n, q, cum, periods=False):
     return moved
 
 
-def _check_search(n, q, j, cum, with_head):
+def _check_search(n, q, j, cum):
     """The search against bisection on cum, within the probe and head budgets."""
     want = bisect(n, q, j, lambda x: cum[x.to_int()])
     probes = heads = 0
@@ -227,9 +227,9 @@ def _check_search(n, q, j, cum, with_head):
         heads += 1
         return cum[d * q ** (n - 1)]
 
-    got = indexing._search(n, q, j, below, cum[-1], head if with_head else None)
-    assert got == (want, cum[want.to_int()]), (n, q, j, with_head)
-    assert probes <= budget(n, q), (n, q, j, with_head, probes)
+    got = indexing._search(n, q, j, below, cum[-1], head)
+    assert got == (want, cum[want.to_int()]), (n, q, j)
+    assert probes <= budget(n, q), (n, q, j, probes)
     # The first digit's budget ceil(log2 q) + 2, and one to spare.
     assert heads <= math.ceil(math.log2(q)) + 3, (n, q, j, heads)
 
@@ -237,51 +237,35 @@ def _check_search(n, q, j, cum, with_head):
 @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @hypothesis.given(_flat_counts(), st.data())
 def test_search_contract_on_flat_counts(counts, data):
-    """With no head on cum itself; with a head on cum's runs moved onto necklaces, period weights."""
+    """On cum's runs moved onto necklaces, each weighing its period, as a generator row's do."""
     n, q, cum = counts
-    _check_search(n, q, data.draw(st.integers(1, cum[-1]), label="j"), cum, False)
     cum = _on_necklaces(n, q, cum, periods=True)
-    _check_search(n, q, data.draw(st.integers(1, cum[-1]), label="j with a head"), cum, True)
+    _check_search(n, q, data.draw(st.integers(1, cum[-1]), label="j"), cum)
 
 
-@pytest.mark.parametrize("with_head", [False, True], ids=["words", "head"])
-@pytest.mark.parametrize("power", [3, 12])
-def test_search_past_the_float_range(with_head, power):
-    """Past q^n = 2^1024 the model's point needs ratios only: no int becomes a float.
+@pytest.mark.parametrize("power", [3, 12], ids=["3-head", "12-head"])
+def test_search_past_the_float_range(power):
+    """Past q^n = 2^1024 the search needs ratios only: no int becomes a float.
 
-    With no head, at q^n = 2^1120, the count is
-    size * (1 - (1 - x/size)^power), concave like the model's
-    1 - (1 - x/size)^70 but not equal to it, and the answer is checked by
-    bisection.  With a head, at q^n = 2^1152, it is a generator row's count
-    under a ceiling whose first digit is q - 1 and whose other digits
-    `power` seeds: periods summed over the necklaces below x, 0 for those
-    whose orbit leaves the ceiling.  Bisection would take 1152 two-sided
-    counts per rank, so the answer x is checked against its successor:
-    below(x) < j <= below(x + 1).
+    At q^n = 2^1152 the count is a generator row's under a ceiling whose
+    first digit is q - 1 and whose other digits `power` seeds: periods
+    summed over the necklaces below x, 0 for those whose orbit leaves the
+    ceiling.  Bisection would take 1152 two-sided counts per rank, so the
+    answer x is checked against its successor: below(x) < j <= below(x + 1).
     """
     rng, heads = random.Random(1120), 0
-    if with_head:
-        n, q, seeded = 9, 2**128, random.Random(power)
-        ceiling = (q - 1,) + tuple(seeded.randrange(q) for _ in range(n - 1))
-        total = engine.count_within_ceiling(ceiling, q)
-        row_head = bch._row_head(ceiling, q, total)
+    n, q, seeded = 9, 2**128, random.Random(power)
+    ceiling = (q - 1,) + tuple(seeded.randrange(q) for _ in range(n - 1))
+    total = engine.count_within_ceiling(ceiling, q)
+    row_head = bch._row_head(ceiling, q, total)
 
-        def count(x):
-            return engine.count_below_with_ceiling(x.digits, ceiling, q)
+    def count(x):
+        return engine.count_below_with_ceiling(x.digits, ceiling, q)
 
-        def head(d):
-            nonlocal heads
-            heads += 1
-            return row_head(d)
-    else:
-        n, q = 70, 2**16
-        size = q**n
-        total = size
-
-        def count(x):
-            return size - (size - x.to_int()) ** power // size ** (power - 1)
-
-        head = None
+    def head(d):
+        nonlocal heads
+        heads += 1
+        return row_head(d)
 
     for j in [1, total, total // 2] + [rng.randint(1, total) for _ in range(3)]:
         probes = heads = 0
@@ -292,27 +276,24 @@ def test_search_past_the_float_range(with_head, power):
             return count(x)
 
         got = indexing._search(n, q, j, below, total, head)
-        if with_head:
-            x = got[0].to_int()
-            assert got[1] == count(got[0]) < j, (power, j)
-            assert x == q**n - 1 or count(NkString.from_int(n, q, x + 1)) >= j, (power, j)
-        else:
-            want = bisect(n, q, j, count)
-            assert got == (want, count(want)), (power, j)
+        x = got[0].to_int()
+        assert got[1] == count(got[0]) < j, (power, j)
+        assert x == q**n - 1 or count(NkString.from_int(n, q, x + 1)) >= j, (power, j)
         assert probes <= budget(n, q), (power, j, probes)
         assert heads <= math.ceil(math.log2(q)) + 3, (power, j, heads)
 
 
 @pytest.mark.parametrize("kind", sorted(UNRANK))
 def test_unrank_round_trips_past_the_float_range(kind):
+    """Past 2^1024 in q^n, and in q itself, where the first digit's model runs."""
     unrank, count = UNRANK[kind]
     rank = {"necklace": indexing.reverse_index_necklace,
             "lyndon": indexing.reverse_index_lyndon}[kind]
-    n, q = 70, 2**16
-    rng, total = random.Random(70), count(n, q)
-    for j in [1, total] + [rng.randint(1, total) for _ in range(3)]:
-        word = unrank(n, q, j)
-        assert rank(word) == indexing.RankResult(j, word), j
+    for n, q in [(70, 2**16), (3, 2**1100), (2, 2**2000)]:
+        rng, total = random.Random(n), count(n, q)
+        for j in [1, total] + [rng.randint(1, total) for _ in range(3)]:
+            word = unrank(n, q, j)
+            assert rank(word) == indexing.RankResult(j, word), (n, j)
 
 
 def test_generator_rows_do_not_lock_in(searches):
@@ -364,6 +345,33 @@ def test_first_digit_does_not_lock_in(monkeypatch, kind):
     assert max(heads) <= 4, sorted(heads)[-10:]
 
 
+@pytest.mark.parametrize("kind, n, q, draws", [
+    ("necklace", 32, 2, 60), ("necklace", 64, 2, 20), ("necklace", 12, 3, 60),
+    ("lyndon", 40, 3, 20), ("necklace", 256, 2, 0),
+], ids=["necklace-32-2", "necklace-64-2", "necklace-12-3", "lyndon-40-3", "necklace-256-2"])
+def test_run_head_within_budget(monkeypatch, kind, n, q, draws):
+    """The run head is one `_narrow` over n - r: at most n.bit_length() + 2 closed forms.
+
+    At (256, 2) only the first and last ranks: j = 1 ends at r = n, the far
+    end of the bracket from r = 1.
+    """
+    unrank, count = UNRANK[kind]
+    calls, search = [], indexing._search
+
+    def spied(n, q, j, below, total, head, weight, runs):
+        def counted_runs(d, r):
+            calls[-1] += 1
+            return runs(d, r)
+        return search(n, q, j, below, total, head, weight, counted_runs)
+
+    monkeypatch.setattr(indexing, "_search", spied)
+    rng, total = random.Random(n * q), count(n, q)
+    for j in [1, total] + [rng.randint(1, total) for _ in range(draws)]:
+        calls.append(0)
+        unrank(n, q, j)
+    assert any(calls) and max(calls) <= n.bit_length() + 2, sorted(calls)[-10:]
+
+
 @st.composite
 def _shaped_counts(draw):
     """(n, q, cum) with cum close to T * (1 - (1 - x/q^n)^n), or to T * (x/q^n)^n.
@@ -399,11 +407,10 @@ def _shaped_counts(draw):
 @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @hypothesis.given(_shaped_counts(), st.data())
 def test_search_contract_on_shaped_counts(counts, data):
-    """With no head on cum itself; with a head on cum moved onto necklaces, same shape."""
+    """On cum moved onto necklaces, which keeps its shape."""
     n, q, cum = counts
-    _check_search(n, q, data.draw(st.integers(1, cum[-1]), label="j"), cum, False)
     cum = _on_necklaces(n, q, cum)
-    _check_search(n, q, data.draw(st.integers(1, cum[-1]), label="j with a head"), cum, True)
+    _check_search(n, q, data.draw(st.integers(1, cum[-1]), label="j"), cum)
 
 
 @st.composite
