@@ -107,6 +107,22 @@ def _row_head(ceiling, q, total):
     return head
 
 
+def _row_weight(ceiling, q):
+    """(digits, period) -> the rows a necklace holds: its period, or 0 if its orbit leaves the ceiling.
+
+    The orbit stays within the ceiling iff its greatest rotation does, and
+    the greatest rotation is the least one of the complemented digits,
+    read back uncomplemented.
+    """
+    ceiling, top = list(ceiling), q - 1
+
+    def weight(a, p):
+        start = _least_rotation([top - c for c in a])[0]
+        return p if a[start:] + a[:start] <= ceiling else 0
+
+    return weight
+
+
 def generator_row(params, r):
     """Row r as (orbit, position-in-orbit), ranked by minimal representative.
 
@@ -116,7 +132,13 @@ def generator_row(params, r):
     with no digit below delta, in radix q - delta (`indexing` module
     docstring).  Each probe is one two-sided count under the ceiling
     word(d), and the search returns the rows below the orbit it ends on,
-    so the row's position in its orbit is r minus them.
+    so the row's position in its orbit is r minus them.  Once at most 4n
+    words are left it walks them with the weight `_row_weight`, one least
+    rotation per necklace against a two-sided count per probe: (4, 6) took
+    6.18 -> 3.84 two-sided counts and 321 -> 222 us per search (median,
+    cold memos) over 400 rows drawn as the field benchmark draws them,
+    (2, 20) 4.91 -> 3.48 (11.34 -> 8.05 with d and r uniform, 180 rows),
+    and (2^16, 3) 4.04 -> 3.98.
 
     The head serves q = 2 too, where its one evaluation, head(1), has
     k = 1 letter and builds no table: against the search with no head and
@@ -141,7 +163,7 @@ def generator_row(params, r):
     ceiling = _word(params, params.d).digits
     rep, below = indexing._search(
         ctx.n, q, r, lambda x: engine.count_below_with_ceiling(x.digits, ceiling, q), total,
-        _row_head(ceiling, q, total))
+        _row_head(ceiling, q, total), _row_weight(ceiling, q))
     orbit = _orbit(rep, "generator")
     if max_rotation(rep)[0].digits > ceiling:
         raise InvariantViolated("generator row orbit leaves {0, ..., d}")

@@ -9,10 +9,11 @@ closed-form orbit count, then over the words on the counted orbits; an
 unrank runs it once more between them, over the first run on its closed
 form.  The head, the count below (d, 0, ..., 0), is built from the
 closed-form total: the orbits not below it are those over the q - d
-letters {d, ..., q-1}.  Once at most n orbits remain in the bracket it
-steps through them with the FKM successor (Ruskey, Savage and Wang,
-J. Algorithms 1992): n steps cost less than one probe, and the search
-would need about log2 n.
+letters {d, ..., q-1}.  Once at most 4n words remain in the bracket it
+steps through the prenecklaces among them with the FKM successor (Ruskey,
+Savage and Wang, J. Algorithms 1992): a step costs a few microseconds,
+against tens for a probe, and the search would need about log2 4n more
+probes.
 Ranking counts the orbits below the canonical rotation.  Ranks are 1-based.
 
 A necklace has no digit below its first one, d: a later, smaller digit
@@ -29,9 +30,12 @@ probe that gains a whole digit is followed by one that gains about d/q of
 one.  The floor holds for any count that sums a weight over necklaces, and
 every search promises one: the necklace counts of an unrank, and
 `bch.generator_row`'s rows, which weigh a necklace by its period, or 0 if
-its orbit leaves the ceiling.  So every search takes the floor, and a
-`weight`, which lets the search close with a walk, follows only the walk.
-At q = 2 the map is the identity: d = 0, or d = 1 and one word.
+its orbit leaves the ceiling.  So every search takes the floor and
+closes with a walk over that weight.  The floor also bounds the walk:
+every prenecklace between two words of the bucket has no digit below d
+either, so it is the image of a word between them, and a bracket of 4n
+words holds at most 4n prenecklaces, whatever the weights.  At q = 2 the
+map is the identity: d = 0, or d = 1 and one word.
 
 The same holds for runs (the run floor): a necklace whose least rotation
 starts d^r e, e > d, has no run of d longer than r, cyclically, since a
@@ -46,8 +50,10 @@ searches only the words d^r e w', e > d and w' with no run of d longer
 than r (`_run_map`); the words it skips hold a longer run or a digit
 below d and leave the count flat.  The counts carry over as for the digit
 floor: no necklace lies between d^r (d + 1) d^(n-r-1) and the first such
-word, nor between the last one and d^(r-1) (d + 1) d^(n-r).  At q = 2 most words of
-a bucket hold a zero run longer than the necklace's first, and
+word, nor between the last one and d^(r-1) (d + 1) d^(n-r).  The walk's
+bound holds too: a prenecklace that starts d^r e has no run of d longer
+than r, for its Lyndon prefix has none, cyclically.  At q = 2 most words
+of a bucket hold a zero run longer than the necklace's first, and
 interpolation stalled on them: over 1,500 seeded (32, 2) necklace ranks
 the word probes went 12.66 -> 9.47 on average with the run floor, and to
 7.92 with `_narrow`'s weaker pull.  A word over the bucket's m = q - d
@@ -174,8 +180,10 @@ def _walk(n, q, lo, hi, target, weight, word):
     through the prenecklaces from the least one >= word(lo) with the FKM
     successor and sums weight(digits, period) over the necklaces among them
     (period | n); `passed` is that sum over the necklaces in [word(lo), x).
-    Raises InvariantViolated if the sum has not reached target by
-    word(hi - 1), or the walk runs past the last prenecklace.
+    Every prenecklace it visits is the image of a word in [lo, hi) (module
+    docstring), so it takes at most hi - lo successor steps, whatever the
+    weights.  Raises InvariantViolated if the sum has not reached target
+    by word(hi - 1), or the walk runs past the last prenecklace.
     """
     a, p = prenecklace_at_least(word(lo).digits)
     last = list(word(hi - 1).digits)
@@ -192,8 +200,11 @@ def _walk(n, q, lo, hi, target, weight, word):
     raise InvariantViolated("necklace walk left the bracket; the counts disagree")
 
 
-def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=0, power=0):
-    """(lo, hi, count_lo, count_hi) narrowed until hi - lo = 1 or count_hi - count_lo <= stop.
+def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=1, power=0):
+    """(lo, hi, count_lo, count_hi) narrowed until hi - lo <= stop, a width in words.
+
+    `stop` is 1 for the first digit and the run head, which end on one
+    value, and 4n for the word phase, which walks the rest (`_search`).
 
     `count` is nondecreasing, count(lo) < j <= count(hi) throughout, and
     hi - lo <= 2^(budget-2) on entry.  Each probe is the Illinois-weighted
@@ -222,7 +233,7 @@ def _narrow(q, j, count, lo, hi, count_lo, count_hi, budget, stop=0, power=0):
     spread = 4 * q * (hi - lo)
     end = hi
     run = 0  # > 0: lo moved run times in a row; < 0: hi moved -run times
-    while hi - lo > 1 and count_hi - count_lo > stop:
+    while hi - lo > stop:
         width = hi - lo
         budget -= 1
         reach = 1 << budget
@@ -267,7 +278,7 @@ def _model_point(n, b, r, width):
     return width * int(y / b * (1 << 53)) >> 53
 
 
-def _search(n, q, j, below, total, head, weight=None, runs=None):
+def _search(n, q, j, below, total, head, weight, runs=None):
     """(x, below(x)), x the largest word with below(x) < j: one safeguarded interpolation loop.
 
     The contract: `below` is nondecreasing in the word, below(0^n) = 0,
@@ -275,13 +286,14 @@ def _search(n, q, j, below, total, head, weight=None, runs=None):
     1 <= j <= total.  `head` is the closed form d -> below((d, 0, ..., 0))
     for 0 <= d <= q, with head(q) = total, and it promises that below(x)
     sums a nonnegative weight over the necklaces strictly below x.
-    `weight`, if given, is that weight, weight(digits, period) for a
-    necklace given as its digit list and the period of its least rotation.
-    `runs`, if given, is the closed form (d, r) -> below(d^r (d + 1)
-    d^(n-r-1)) for 0 <= d < q - 1 and 1 <= r < n.  An unrank passes all
-    three.  `bch.generator_row` passes a head alone: necklaces whose orbit
-    leaves its ceiling weigh 0 there, so a walk over them would have no
-    bound in n, and a count under a ceiling has no closed form by runs.
+    `weight` is that weight, weight(digits, period) for a necklace given
+    as its digit list and the period of its least rotation: 1, or for
+    Lyndon words 1 if the period is n, in an unrank; in
+    `bch.generator_row` the period, or 0 if the necklace's greatest
+    rotation is above the ceiling.  `runs`, if given, is the closed form
+    (d, r) -> below(d^r (d + 1) d^(n-r-1)) for 0 <= d < q - 1 and
+    1 <= r < n.  An unrank passes it; a count under a ceiling has no
+    closed form by runs.
 
     `_narrow` runs over the digits [0, q] with budget ceil(log2 q) + 2 (so
     at most that many head evaluations), then over the words with budget
@@ -300,11 +312,25 @@ def _search(n, q, j, below, total, head, weight=None, runs=None):
     docstring), the word phase in x: inside one first-digit bucket the
     model did not pay (over 202 seeded necklace ranks at (10, 2^26), 10.96
     word probes per search plain in radix q - d, 22.57 with the model over
-    the bucket, and 21.55 plain in radix q).  A weight switches on only
-    the closing walk: the word phase stops once below_hi - below_lo <= n
-    and walks from lo to the necklace at which the weights reach
-    j - below_lo.  n successor steps cost less than one probe, and the
-    search would need about log2 n more.
+    the bucket, and 21.55 plain in radix q).
+
+    The word phase stops once at most 4n words are left and, if more than
+    one is, walks from lo to the necklace at which the weights reach
+    j - below_lo.  Every prenecklace between word(lo) and word(hi - 1) lies
+    in the floor's image (module docstring), so the walk takes at most 4n
+    successor steps, whatever the weights.  A stop on the count,
+    below_hi - below_lo <= n, bounds nothing where necklaces weigh 0, as
+    under a ceiling: with it, a (2, 20) row search with d and r uniform
+    walked 98 steps.  At (4, 6) a step with a row's weight costs about
+    3 us, a two-sided count 25-58 us (medians over three ceilings, cold
+    memos).  Two-sided counts per row search (400 rows drawn as the field
+    benchmark draws them, 150 at (2, 20)), stopping at 2n, 3n and 4n words
+    against the count stop: (4, 6) 4.42, 4.05 and 3.84 against 6.18,
+    (2, 20) 3.51, 3.50 and 3.48 against 4.91, (2^16, 3) 3.98-3.99 against
+    4.04.  Tables per unrank (1,000 seeded ranks, warm memos): (32, 2)
+    necklaces 7.63, 7.48 and 7.34 against 7.59, (12, 3) 5.34, 5.07 and
+    4.90 against 5.36, (10, 2^26) 11.10, 11.09 and 11.08 against 11.11.
+    The longest walks were 23 steps at (4, 6) and 122 at (32, 2).
 
     The count comes with the word at no cost: it is below_lo when the
     probes close the bracket on lo, and below_lo plus the weight that the
@@ -319,9 +345,8 @@ def _search(n, q, j, below, total, head, weight=None, runs=None):
         if x == 0:
             return NkString(n, q, (floor,) * n), below_lo
         hi, word = _run_map(n, q, floor, n - x)
-    lo, hi, below_lo, below_hi = _narrow(
-        q, j, lambda x: below(word(x)), 0, hi, below_lo, below_hi,
-        n * bits + 2, stop=n if weight is not None else 0)
+    lo, hi, below_lo, _ = _narrow(q, j, lambda x: below(word(x)), 0, hi, below_lo, below_hi,
+                                  n * bits + 2, 4 * n)
     if hi - lo > 1:
         found, passed = _walk(n, q, lo, hi, j - below_lo, weight, word)
         return found, below_lo + passed

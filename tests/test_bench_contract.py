@@ -100,15 +100,16 @@ def test_tracer_counts_the_field_layer(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     base = gf.default_fq_ctx(2)
-    # At n = 6 every unrank closes on the run head's closed forms and a
-    # walk, with no one-sided count; index 17 at n = 8 takes one.
-    fctx = gf.find_primitive_polynomial(base, 8, gf.factorize(255), 1)
+    # Up to n = 8 every unrank closes on the run head's closed forms and a
+    # walk over at most 4n words, with no one-sided count; index 40 at
+    # n = 10 takes one.
+    fctx = gf.find_primitive_polynomial(base, 10, gf.factorize(1023), 1)
     original_mul, original_frobenius = gf.FqnCtx.__dict__["mul"], bch.frobenius
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        irreducible.index_irreducible(fctx, 17)
-        params = bch.BchParams(fctx, 200)
+        irreducible.index_irreducible(fctx, 40)
+        params = bch.BchParams(fctx, 800)
         bch.generator_entry(params, 3, fctx.element_from_int(9))
         bch.parity_entry(params, 3, fctx.element_from_int(9))
     finally:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from necklaces import bch, counting, engine, gf, indexing
 from necklaces.oracle import brute_orbits, closed_form_counts
-from necklaces.words import NkString
+from necklaces.words import NkString, max_rotation
 
 
 def bisect(n, q, j, below):
@@ -44,9 +44,19 @@ def searches(monkeypatch):
 
     Yields the list of (n, q, j, below, answer, probes), one per search;
     the answer is the (word, count below it) pair that the search returns.
+    It also spies `indexing._walk` and requires each search's closing walk
+    to take at most 4n successor steps, whatever the weights.
     """
-    seen = []
-    search = indexing._search
+    seen, steps = [], []
+    search, walk, successor = indexing._search, indexing._walk, indexing.next_prenecklace
+
+    def stepped(a, q):
+        steps[-1] += 1
+        return successor(a, q)
+
+    def walked(*args):
+        steps.append(0)
+        return walk(*args)
 
     def counted(n, q, j, below, *args):
         probes = 0
@@ -56,11 +66,15 @@ def searches(monkeypatch):
             probes += 1
             return below(x)
 
+        steps.clear()
         got = search(n, q, j, probe, *args)
+        assert sum(steps) <= 4 * n, (n, q, j, steps)
         seen.append((n, q, j, below, got, probes))
         return got
 
     monkeypatch.setattr(indexing, "_search", counted)
+    monkeypatch.setattr(indexing, "_walk", walked)
+    monkeypatch.setattr(indexing, "next_prenecklace", stepped)
     return seen
 
 
@@ -196,23 +210,25 @@ def _flat_counts(draw):
 
 
 def _on_necklaces(n, q, cum, periods=False):
-    """cum moved onto the necklaces: each word reads cum at the least necklace >= it.
+    """(moved, weights): cum moved onto the necklaces, and each necklace's weight.
 
-    The count then rises only across necklaces, as a count with a head must
-    (`indexing._search`), and keeps cum's shape and its flat stretches.
-    With `periods` every necklace that rises weighs its period instead, as
-    a generator row's count does.
+    Each word reads cum at the least necklace >= it.  The count then rises
+    only across necklaces, as a count with a head must (`indexing._search`),
+    and keeps cum's shape and its flat stretches.  A necklace weighs its
+    rise, which `weights` maps its digits to.  With `periods` every necklace
+    that rises weighs its period instead, as a generator row's count does.
     """
     reps = brute_orbits(n, q)
     starts = [rep.to_int() for rep, _ in reps] + [q**n]
-    moved = [0]
-    for (_, period), x, nxt in zip(reps, starts, starts[1:]):
+    moved, weights = [0], {}
+    for (rep, period), x, nxt in zip(reps, starts, starts[1:]):
         rise = cum[nxt] - cum[x]  # the necklace x stands for the words in [x, nxt)
-        moved += [moved[-1] + (period if periods and rise else rise)] * (nxt - x)
-    return moved
+        weights[rep.digits] = period if periods and rise else rise
+        moved += [moved[-1] + weights[rep.digits]] * (nxt - x)
+    return moved, weights
 
 
-def _check_search(n, q, j, cum):
+def _check_search(n, q, j, cum, weights):
     """The search against bisection on cum, within the probe and head budgets."""
     want = bisect(n, q, j, lambda x: cum[x.to_int()])
     probes = heads = 0
@@ -227,7 +243,7 @@ def _check_search(n, q, j, cum):
         heads += 1
         return cum[d * q ** (n - 1)]
 
-    got = indexing._search(n, q, j, below, cum[-1], head)
+    got = indexing._search(n, q, j, below, cum[-1], head, lambda a, p: weights[tuple(a)])
     assert got == (want, cum[want.to_int()]), (n, q, j)
     assert probes <= budget(n, q), (n, q, j, probes)
     # The first digit's budget ceil(log2 q) + 2, and one to spare.
@@ -239,8 +255,8 @@ def _check_search(n, q, j, cum):
 def test_search_contract_on_flat_counts(counts, data):
     """On cum's runs moved onto necklaces, each weighing its period, as a generator row's do."""
     n, q, cum = counts
-    cum = _on_necklaces(n, q, cum, periods=True)
-    _check_search(n, q, data.draw(st.integers(1, cum[-1]), label="j"), cum)
+    cum, weights = _on_necklaces(n, q, cum, periods=True)
+    _check_search(n, q, data.draw(st.integers(1, cum[-1]), label="j"), cum, weights)
 
 
 @pytest.mark.parametrize("power", [3, 12], ids=["3-head", "12-head"])
@@ -267,6 +283,9 @@ def test_search_past_the_float_range(power):
         heads += 1
         return row_head(d)
 
+    def weight(a, p):
+        return p if max_rotation(NkString(n, q, tuple(a)))[0].digits <= ceiling else 0
+
     for j in [1, total, total // 2] + [rng.randint(1, total) for _ in range(3)]:
         probes = heads = 0
 
@@ -275,7 +294,7 @@ def test_search_past_the_float_range(power):
             probes += 1
             return count(x)
 
-        got = indexing._search(n, q, j, below, total, head)
+        got = indexing._search(n, q, j, below, total, head, weight)
         x = got[0].to_int()
         assert got[1] == count(got[0]) < j, (power, j)
         assert x == q**n - 1 or count(NkString.from_int(n, q, x + 1)) >= j, (power, j)
@@ -302,7 +321,8 @@ def test_generator_rows_do_not_lock_in(searches):
     Plain false position on the concave row count aims its first probes far
     past the answer, and then the window admits only midpoints: without the
     model, 13 of these 60 searches took all 50 probes.  With the head and
-    the digit floor they take 4.15 probes on average, against 9.07 with no head.
+    the digit floor they take 4.12 probes on average, against 9.07 with no
+    head, and 3.97 once they close with the walk.
     """
     q, n = 2**16, 3
     base = gf.default_fq_ctx(q)
@@ -318,6 +338,77 @@ def test_generator_rows_do_not_lock_in(searches):
     assert max(probes) < budget(n, q), sorted(probes)
     assert sum(probes) / len(probes) <= 6, sorted(probes)
     check(searches)
+
+
+def _row_field(q, n):
+    base = gf.default_fq_ctx(q)
+    return gf.find_primitive_polynomial(base, n, gf.factorize(q**n - 1), rng_seed=1)
+
+
+def test_generator_rows_close_with_the_walk(searches):
+    """150 rows of F_(4^6) drawn as the field benchmark draws them.
+
+    The word phase stops at 4n words and walks the rest, so a (4, 6) row
+    takes 3.84 two-sided counts on average here, against 6.10 when it
+    stopped once at most n rows were left in the bracket and never walked.
+    """
+    q, n = 4, 6
+    ctx = _row_field(q, n)
+    d0 = q**n - q ** (n - 1)
+    rows = bch.generator_row_count(bch.BchParams(ctx, d0))
+    rng = random.Random(5)
+    for _ in range(150):
+        d, r = rng.randint(d0, q**n - 2), rng.randint(1, rows)
+        bch.generator_row(bch.BchParams(ctx, d), r)
+    probes = [seen[-1] for seen in searches]
+    assert len(probes) == 150
+    assert sum(probes) / len(probes) <= 4.5, sorted(probes)
+    check(searches)
+
+
+@pytest.mark.parametrize("seed", [11, 5, 23])
+def test_uniform_binary_rows_stay_under_the_budget(searches, seed):
+    """60 rows of F_(2^20) with d and r uniform: none takes the whole budget.
+
+    A q = 2 row's count is flat wherever orbits leave the ceiling, the
+    stairs on which the pull toward the midpoint costs probes.  Stopping
+    once at most n rows were left, 4, 1 and 6 of these searches at seeds
+    11, 5 and 23 took all n + 2 = 22 probes; stopping at 4n words, none
+    takes more than 16.
+    """
+    q, n = 2, 20
+    ctx, rng = _row_field(q, n), random.Random(seed)
+    for _ in range(60):
+        params = bch.BchParams(ctx, rng.randint(0, q**n - 2))
+        bch.generator_row(params, rng.randint(1, bch.generator_row_count(params)))
+    probes = [seen[-1] for seen in searches]
+    assert len(probes) == 60
+    assert max(probes) < budget(n, q), sorted(probes)
+    check(searches)
+
+
+@pytest.mark.parametrize("q, n, offsets, draws", [
+    (2, 12, (-1, 0, 1, 3, 9, 40, 200), None),
+    (4, 6, (0, 1, 5, 17, 60), 40),
+], ids=["2-12", "4-6"])
+def test_row_walks_cross_zero_weight_necklaces(searches, q, n, offsets, draws):
+    """Rows whose ceiling lets few orbits in: most necklaces weigh 0.
+
+    At q = 2 and d near 2^(n-1) the ceiling lets in 1 to 6 of the 352
+    necklaces (1 to 47 rows); at (4, 6) and d near d0 = 3 * 4^5, 131 to
+    158 of 700.  A stop on the rows left in the bracket walks across long
+    stretches of zero-weight necklaces; the `searches` fixture holds every
+    walk to 4n steps.  Every row at q = 2, `draws` seeded rows per d at
+    (4, 6).
+    """
+    ctx, rng = _row_field(q, n), random.Random(q * n)
+    for offset in offsets:
+        params = bch.BchParams(ctx, q ** (n - 1) * (q - 1) + offset)
+        rows = bch.generator_row_count(params)
+        for r in range(1, rows + 1) if draws is None else (
+                [1, rows] + [rng.randint(1, rows) for _ in range(draws)]):
+            bch.generator_row(params, r)
+        check(searches)
 
 
 @pytest.mark.parametrize("kind", sorted(UNRANK))
@@ -409,8 +500,8 @@ def _shaped_counts(draw):
 def test_search_contract_on_shaped_counts(counts, data):
     """On cum moved onto necklaces, which keeps its shape."""
     n, q, cum = counts
-    cum = _on_necklaces(n, q, cum)
-    _check_search(n, q, data.draw(st.integers(1, cum[-1]), label="j"), cum)
+    cum, weights = _on_necklaces(n, q, cum)
+    _check_search(n, q, data.draw(st.integers(1, cum[-1]), label="j"), cum, weights)
 
 
 @st.composite
